@@ -6,16 +6,23 @@ is simultaneously correct over all fields (char 2 included).  Internally an
 element is an oriented pair ``(lead, tail)``; ``tail is None`` denotes a bare
 monomial, which only arises when monomial generators are supplied explicitly
 (used by the colon-method regularity computation) -- with binomial-only input
-the engine stays closed inside pure differences, and asserts it.
+the engine stays closed inside pure differences, and checks it.
+
+Useless S-pairs are skipped by the Gebauer-Moeller criteria, and saturation
+by a variable takes a single Groebner basis (Bayer-Stillman), so
+``lattice_ideal_generators`` and ``vanishing_ideal_finite_field`` (a lattice
+ideal too) cost one basis per variable plus one canonical basis.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter, le
 
 from .errors import (
     DimensionError,
+    InternalError,
     InvalidArgumentError,
     UnsupportedFieldError,
     UnsupportedInputError,
@@ -73,11 +80,22 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# engine internals: elements are (lead, tail) with tail None for monomials
+# engine internals: elements are (lead, tail) with tail None for monomials.
+# Each basis list travels with a parallel list of support bitmasks of its
+# leads: t^a can divide t^u only when supp(a) lies inside supp(u), a cheap
+# integer test that skips most tuple scans.
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _mask(u):
+    m = 0
+    for k, x in enumerate(u):
+        if x:
+            m |= 1 << k
+    return m
 
 
 def _orient(order, u, v):
@@ -89,11 +107,12 @@ def _orient(order, u, v):
     return (v, u)
 
 
-def _reduce_term(u, basis):
+def _reduce_term(u, basis, masks):
     """Normal form of the monomial t^u modulo basis; None when it reduces to 0."""
     while True:
-        for lead, tail in basis:
-            if _divides(lead, u):
+        um = _mask(u)
+        for (lead, tail), m in zip(basis, masks):
+            if not m & ~um and _divides(lead, u):
                 if tail is None:
                     return None
                 u = tuple(x - a + b for x, a, b in zip(u, lead, tail))
@@ -102,9 +121,9 @@ def _reduce_term(u, basis):
             return u
 
 
-def _normal_form_elem(order, elem, basis):
-    u = _reduce_term(elem[0], basis)
-    v = elem[1] if elem[1] is None else _reduce_term(elem[1], basis)
+def _normal_form_elem(order, elem, basis, masks):
+    u = _reduce_term(elem[0], basis, masks)
+    v = elem[1] if elem[1] is None else _reduce_term(elem[1], basis, masks)
     if u is None and v is None:
         return None
     if u is None:
@@ -115,7 +134,7 @@ def _normal_form_elem(order, elem, basis):
 
 
 def _spoly(f, g):
-    lcm = tuple(max(a, b) for a, b in zip(f[0], g[0]))
+    lcm = tuple(map(max, f[0], g[0]))
     u = None if f[1] is None else tuple(l - a + b for l, a, b in zip(lcm, f[0], f[1]))
     v = None if g[1] is None else tuple(l - a + b for l, a, b in zip(lcm, g[0], g[1]))
     return u, v
@@ -124,59 +143,110 @@ def _spoly(f, g):
 def _buchberger_elems(elems, order):
     """Canonical reduced basis of (lead, tail) elements.
 
-    Normal selection strategy (smallest lcm degree first) with Buchberger's
-    coprimality criterion.  Each surviving remainder is fully reduced, so its
-    lead strictly enlarges the initial ideal and termination follows from
-    Dickson's lemma.
+    Normal selection strategy (smallest lcm degree first) with the
+    Gebauer-Moeller pair criteria.  Each surviving remainder is fully
+    reduced, so its lead strictly enlarges the initial ideal and termination
+    follows from Dickson's lemma.
     """
     G: list = []
-    pairs: list = []
+    masks: list = []
+    active: list = []  # indices of elements that still form new pairs
+    pairs: list = []  # heap of (lcm degree, lcm key, i, j, lcm, lcm mask)
 
-    def push_pairs(j):
-        lead_j, tail_j = G[j]
-        for i in range(j):
+    def update(h):
+        """Gebauer-Moeller update for the new element G[h]."""
+        lead_h, tail_h = G[h]
+        mask_h = masks[h]
+        # chain criterion on the new pairs.  A pair with a zero S-polynomial
+        # (coprime leads, or two monomials) is never reduced but still
+        # witnesses the pairs whose lcm its own lcm divides; sorting puts
+        # divisors first and, among equal lcms, the zero pairs first
+        new = []
+        for i in active:
             lead_i, tail_i = G[i]
-            if tail_i is None and tail_j is None:
-                continue  # S-polynomial of two monomials is zero
-            lcm = tuple(max(a, b) for a, b in zip(lead_i, lead_j))
-            if lcm == tuple(a + b for a, b in zip(lead_i, lead_j)):
-                continue  # coprime leads reduce to zero
-            heapq.heappush(pairs, (order.degree(lcm), order.key(lcm), i, j))
+            lcm = tuple(map(max, lead_i, lead_h))
+            zero = (tail_i is None and tail_h is None) or not masks[i] & mask_h
+            new.append((order.degree(lcm), not zero, lcm, masks[i] | mask_h, i))
+        new.sort(key=itemgetter(0, 1))
+        witnesses: list = []
+        for deg, nonzero, lcm, lm, i in new:
+            if nonzero and any(
+                not wm & ~lm and _divides(w, lcm) for w, wm in witnesses
+            ):
+                continue
+            witnesses.append((lcm, lm))
+            if nonzero:
+                pairs.append((deg, order.key(lcm), i, h, lcm, lm))
+        # an old pair (i, j) is redundant when lead_h divides its lcm and
+        # neither lcm(i, h) nor lcm(j, h) equals it
+        kept = []
+        for p in pairs:
+            _, _, i, j, lcm, lm = p
+            if (
+                j != h
+                and not mask_h & ~lm
+                and _divides(lead_h, lcm)
+                and tuple(map(max, G[i][0], lead_h)) != lcm
+                and tuple(map(max, G[j][0], lead_h)) != lcm
+            ):
+                continue
+            kept.append(p)
+        pairs[:] = kept
+        heapq.heapify(pairs)
+        # an element whose lead lead_h divides forms no further pairs
+        active[:] = [
+            i for i in active if mask_h & ~masks[i] or not _divides(lead_h, G[i][0])
+        ]
+        active.append(h)
+
+    def add(elem):
+        G.append(elem)
+        masks.append(_mask(elem[0]))
+        update(len(G) - 1)
 
     seed = [e for e in elems if e is not None]
     seed.sort(key=lambda e: order.key(e[0]))
     for e in seed:
-        nf = _normal_form_elem(order, e, G)
+        nf = _normal_form_elem(order, e, G, masks)
         if nf is not None:
-            G.append(nf)
-            push_pairs(len(G) - 1)
+            add(nf)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j, _, _ = heapq.heappop(pairs)
         s = _spoly(G[i], G[j])
         if s[0] == s[1]:
             continue
         if s[0] is None or (s[1] is not None and order.key(s[0]) < order.key(s[1])):
             s = (s[1], s[0])
-        nf = _normal_form_elem(order, s, G)
+        nf = _normal_form_elem(order, s, G, masks)
         if nf is not None:
-            G.append(nf)
-            push_pairs(len(G) - 1)
+            add(nf)
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    G.sort(key=lambda e: order.key(e[0]))
+    return _reduce_basis([G[i] for i in active], order)
+
+
+def _reduce_basis(G, order):
+    """The reduced basis of a Groebner basis G of (lead, tail) elements.
+
+    Drops the elements whose lead another lead divides, then reduces the
+    tails.  Normal forms modulo a Groebner basis are unique, so the result
+    is the canonical reduced basis, sorted by lead.
+    """
+    G = sorted(G, key=lambda e: order.key(e[0]))
     minimal: list = []
+    masks: list = []
     for e in G:
-        if not any(_divides(f[0], e[0]) for f in minimal):
+        m = _mask(e[0])
+        if not any(
+            not fm & ~m and _divides(f[0], e[0]) for f, fm in zip(minimal, masks)
+        ):
             minimal.append(e)
-    # interreduce tails; normal forms modulo a Groebner basis are unique,
-    # so the result is the canonical reduced basis
+            masks.append(m)
     reduced = []
     for lead, tail in minimal:
         if tail is not None:
-            tail = _reduce_term(tail, minimal)
+            tail = _reduce_term(tail, minimal, masks)
         reduced.append((lead, tail))
-    reduced.sort(key=lambda e: order.key(e[0]))
     return tuple(reduced)
 
 
@@ -184,10 +254,13 @@ def _to_elems(gens, order):
     return [_orient(order, g.plus, g.minus) for g in gens]
 
 
-def _assert_pure(elems):
-    assert all(tail is not None for _, tail in elems), (
-        "binomial input produced a non-binomial basis element"
-    )
+def _check_pure(elems):
+    if any(tail is None for _, tail in elems):
+        raise InternalError("binomial input produced a non-binomial basis element")
+
+
+def _masks(elems):
+    return [_mask(lead) for lead, _ in elems]
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +270,13 @@ def _assert_pure(elems):
 def buchberger(I: BinomialIdeal, order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of a pure-difference binomial ideal."""
     elems = _buchberger_elems(_to_elems(I.gens, order), order)
-    _assert_pure(elems)
+    _check_pure(elems)
+    masks = _masks(elems)
     for g in I.gens:
-        assert _normal_form_elem(order, (g.plus, g.minus), elems) is None, (
-            "input generator does not reduce to zero against the basis"
-        )
+        if _normal_form_elem(order, (g.plus, g.minus), elems, masks) is not None:
+            raise InternalError(
+                "input generator does not reduce to zero against the basis"
+            )
     return GroebnerBasis(
         order, I.num_vars, tuple(Binomial(lead, tail) for lead, tail in elems)
     )
@@ -212,10 +287,11 @@ def normal_form(f: Binomial, G: GroebnerBasis) -> Binomial | None:
     if f.num_vars != G.num_vars:
         raise DimensionError("binomial does not match basis variable count")
     elems = [(g.plus, g.minus) for g in G.elements]
-    nf = _normal_form_elem(G.order, (f.plus, f.minus), elems)
+    nf = _normal_form_elem(G.order, (f.plus, f.minus), elems, _masks(elems))
     if nf is None:
         return None
-    assert nf[1] is not None
+    if nf[1] is None:
+        raise InternalError("binomial reduced to a monomial modulo a binomial basis")
     return Binomial(nf[0], nf[1])
 
 
@@ -238,47 +314,45 @@ def _canonical_order(I: BinomialIdeal) -> MonomialOrder:
 def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
     """(I : t_i^infty) for a graded ideal; i is a 0-based variable index.
 
-    Iterates: compute the reduced basis under weighted grevlex with t_i
-    cheapest, divide every element by the largest t_i power dividing it,
-    repeat until no division happens.
+    Bayer-Stillman: under weighted grevlex with t_i cheapest, t_i divides a
+    basis element of a homogeneous ideal as soon as it divides its lead, so
+    dividing every element of one Groebner basis by its largest t_i power
+    gives a Groebner basis of the saturation.  The generators are its
+    reduced basis under that order.
     """
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
     if not 0 <= i < I.num_vars:
         raise InvalidArgumentError("variable index out of range")
     order = MonomialOrder.grevlex(I.grading, last=i)
-    gens = I.gens
-    while True:
-        elems = _buchberger_elems(_to_elems(gens, order), order)
-        _assert_pure(elems)
-        changed = False
-        stripped = []
-        for lead, tail in elems:
-            k = min(lead[i], tail[i])
-            if k > 0:
-                changed = True
-                lead = lead[:i] + (lead[i] - k,) + lead[i + 1 :]
-                tail = tail[:i] + (tail[i] - k,) + tail[i + 1 :]
-            stripped.append(Binomial(lead, tail))
-        gens = tuple(stripped)
-        if not changed:
-            return BinomialIdeal(I.num_vars, gens, I.grading)
+    elems = _buchberger_elems(_to_elems(I.gens, order), order)
+    _check_pure(elems)
+    stripped = []
+    for lead, tail in elems:
+        k = min(lead[i], tail[i])
+        if k > 0:
+            lead = lead[:i] + (lead[i] - k,) + lead[i + 1 :]
+            tail = tail[:i] + (tail[i] - k,) + tail[i + 1 :]
+        stripped.append((lead, tail))
+    gens = tuple(Binomial(lead, tail) for lead, tail in _reduce_basis(stripped, order))
+    return BinomialIdeal(I.num_vars, gens, I.grading)
 
 
 def saturate_all(I: BinomialIdeal) -> BinomialIdeal:
-    """(I : (t_1 ... t_s)^infty), by chaining variable saturations to a fixpoint."""
+    """(I : (t_1 ... t_s)^infty), by saturating each variable in turn.
+
+    (I : (t_1 t_2)^infty) = ((I : t_1^infty) : t_2^infty), so one sweep
+    suffices.  The generators are the reduced basis under the canonical
+    weighted grevlex order.
+    """
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
-    order = _canonical_order(I)
-    current = I
-    snapshot = buchberger(current, order).elements
-    while True:
-        for i in range(I.num_vars):
-            current = saturate_variable(current, i)
-        after = buchberger(current, order).elements
-        if after == snapshot:
-            return BinomialIdeal(I.num_vars, after, I.grading)
-        snapshot = after
+    J = I
+    for i in range(I.num_vars):
+        J = saturate_variable(J, i)
+    return BinomialIdeal(
+        I.num_vars, buchberger(J, _canonical_order(I)).elements, I.grading
+    )
 
 
 def is_lattice_ideal(I: BinomialIdeal) -> bool:
@@ -390,12 +464,14 @@ def _is_prime(q: int) -> bool:
 
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     """Vanishing ideal I(X) of the set parameterized by y^{v_1},...,y^{v_s}
-    over the prime field F_q, by eliminating y and z from
-    ({t_i - y^{v_i} z} U {y_j^{q-1} - 1}).
+    over the prime field F_q.
 
-    All inputs are pure differences (y^{q-1} - 1 = y^{q-1} - y^0), so the
-    elimination runs entirely on the binomial engine.  The result is a graded
-    lattice ideal of dimension 1.
+    I(X) is the lattice ideal I(L) of L = {a : sum a_i = 0, V a = 0 mod
+    (q-1)}, V the matrix with columns v_i (Renteria-Simis-Villarreal), so
+    the result is a graded lattice ideal of dimension 1.  L is the
+    projection onto the first s coordinates of ker [[1...1 | 0],
+    [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
+    basis.
     """
     if not _is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
@@ -406,23 +482,14 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
         raise InvalidArgumentError("exponent vectors must be nonzero and nonnegative")
     s = len(vs)
     n = len(vs[0])
-    total = n + 1 + s  # variable layout: y_1..y_n, z, t_1..t_s
-    gens = []
-    for i, v in enumerate(vs):
-        plus = tuple(1 if j == n + 1 + i else 0 for j in range(total))
-        minus = tuple(v) + (1,) + (0,) * s
-        gens.append(Binomial(plus, minus))
-    zero = (0,) * total
+    rows = [(1,) * s + (0,) * n]
     for j in range(n):
-        plus = tuple(q - 1 if k == j else 0 for k in range(total))
-        gens.append(Binomial(plus, zero))
-    order = MonomialOrder.elimination(n + 1, standard_grading(total))
-    G = buchberger(BinomialIdeal(total, tuple(gens)), order)
-    J = eliminate(G, range(n + 1, total))
-    # re-reduce in K[t] for a canonical generating set; the eliminated ideal
-    # is standard-graded, which the constructor checks
-    canonical = buchberger(J, MonomialOrder.grevlex(standard_grading(s)))
-    return BinomialIdeal(s, canonical.elements, standard_grading(s))
+        rows.append(
+            tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
+        )
+    K = kernel_lattice(rows)
+    L = Lattice(s, [row[:s] for row in K.basis])
+    return lattice_ideal_generators(L, standard_grading(s))
 
 
 def initial_ideal_with_monomials(

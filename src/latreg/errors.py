@@ -48,3 +48,8 @@ class PreconditionError(LatregError):
 class ParseError(LatregError):
     name = "parse-error"
     exit_code = 2
+
+
+class InternalError(LatregError):
+    """An internal invariant of the engine failed: a bug, not a bad input."""
+    name = "internal-error"

@@ -253,13 +253,14 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
             gens.append(Binomial(plus, minus))
     ideal = BinomialIdeal(s, tuple(gens), std)
     order = MonomialOrder.grevlex(std)
-    series_i = monomial_hilbert(initial_ideal(buchberger(ideal, order)), std)
+    basis = buchberger(ideal, order)
+    series_i = monomial_hilbert(initial_ideal(basis), std)
 
     series_q = None
     shift = None
     for power in range(1, _COLON_POWER_CAP + 1):
         mono = (power,) * s
-        in_q = initial_ideal_with_monomials(ideal.gens, [mono], order, s)
+        in_q = initial_ideal_with_monomials(basis.elements, [mono], order, s)
         candidate = monomial_hilbert(in_q, std)
         if candidate.dimension() == 0:
             series_q = candidate

@@ -39,6 +39,15 @@ def poly_mul(p, q) -> Poly:
     return _trim(out)
 
 
+def poly_add(p, q) -> Poly:
+    out = [0] * max(len(p), len(q))
+    for i, a in enumerate(p):
+        out[i] += a
+    for i, b in enumerate(q):
+        out[i] += b
+    return _trim(out)
+
+
 def poly_sub(p, q) -> Poly:
     out = [0] * max(len(p), len(q))
     for i, a in enumerate(p):
@@ -170,45 +179,43 @@ def _minimalize(gens):
 def monomial_hilbert(gens, d: Grading) -> HilbertSeries:
     """Hilbert series of S/M for a monomial ideal M.
 
-    Pivot recursion N(M) = N(M') - t^deg(m) N(M':m) on the generator m of
-    smallest weighted degree (ties to lowest index in the sorted list).
+    Pivot recursion N(M) = N(M + (p)) + t^deg(p) N(M : p) on a pure power
+    p = x_i^e, with x_i the variable in the most generators and e the median
+    of its positive exponents (Bigatti's pivot).
     """
     gens = _minimalize(tuple(tuple(int(x) for x in g) for g in gens))
     for g in gens:
         if len(g) != d.num_vars:
             raise DimensionError("monomial length does not match grading")
-    cache: dict = {}
-    num = _numerator(gens, d, cache)
-    return HilbertSeries(num, d)
+    return HilbertSeries(_numerator(gens, d), d)
 
 
-def _numerator(gens, d, cache):
+def _numerator(gens, d):
+    """Numerator of S/(gens) for a minimal generating set."""
     if not gens:
         return (1,)
     if any(all(x == 0 for x in g) for g in gens):
         return ()
-    hit = cache.get(gens)
-    if hit is not None:
-        return hit
-    if len(gens) == 1:
-        out = poly_sub((1,), poly_shift((1,), weighted_degree(gens[0], d)))
-    elif _pairwise_disjoint(gens):
+    if _pairwise_disjoint(gens):
         out = (1,)
         for g in gens:
             out = poly_mul(out, poly_sub((1,), poly_shift((1,), weighted_degree(g, d))))
-    else:
-        pi = min(range(len(gens)), key=lambda i: (weighted_degree(gens[i], d), i))
-        pivot = gens[pi]
-        rest = gens[:pi] + gens[pi + 1 :]
-        colon = _minimalize(
-            tuple(tuple(max(x - p, 0) for x, p in zip(g, pivot)) for g in rest)
-        )
-        out = poly_sub(
-            _numerator(rest, d, cache),
-            poly_shift(_numerator(colon, d, cache), weighted_degree(pivot, d)),
-        )
-    cache[gens] = out
-    return out
+        return out
+    # x_i lies in two or more generators.  p = x_i^e is not in M: only a
+    # pure power x_i^f with f <= e could divide it, but minimality makes f
+    # the unique largest exponent of x_i, above the lower median e.  So
+    # M + (p) and M : p both strictly contain M, and since every ideal met
+    # is generated by divisors of lcm(M) the recursion terminates
+    counts = [sum(1 for g in gens if g[i]) for i in range(len(gens[0]))]
+    i = counts.index(max(counts))
+    exps = sorted(g[i] for g in gens if g[i])
+    e = exps[(len(exps) - 1) // 2]
+    pivot = tuple(e if k == i else 0 for k in range(len(gens[0])))
+    plus = tuple(g for g in gens if g[i] < e) + (pivot,)
+    colon = _minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens)
+    return poly_add(
+        _numerator(plus, d), poly_shift(_numerator(colon, d), e * d.weights[i])
+    )
 
 
 def _pairwise_disjoint(gens):

@@ -1,6 +1,8 @@
-"""Shared test fixtures: random homogeneous lattices and brute-force oracles
-kept independent of the code paths they check."""
+"""Shared test fixtures: random homogeneous lattices, brute-force oracles
+kept independent of the code paths they check, and the engine's earlier
+algorithms as reference routes."""
 
+import heapq
 import itertools
 import random
 
@@ -98,3 +100,198 @@ def naive_point_rank(points, p, d):
 
 def product_grid(*ranges):
     return itertools.product(*ranges)
+
+
+# ---------------------------------------------------------------------------
+# reference routes: the engine's earlier, slower algorithms, so the current
+# ones can be checked against them on seeded inputs
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def orient(order, u, v):
+    """(lead, tail) of t^u - t^v under order; None when u == v."""
+    if u == v:
+        return None
+    return (u, v) if order.key(u) > order.key(v) else (v, u)
+
+
+def _ref_reduce_term(u, basis):
+    while True:
+        for lead, tail in basis:
+            if _ref_divides(lead, u):
+                if tail is None:
+                    return None
+                u = tuple(x - a + b for x, a, b in zip(u, lead, tail))
+                break
+        else:
+            return u
+
+
+def _ref_normal_form(order, elem, basis):
+    u = _ref_reduce_term(elem[0], basis)
+    v = elem[1] if elem[1] is None else _ref_reduce_term(elem[1], basis)
+    if u is None and v is None:
+        return None
+    if u is None:
+        return (v, None)
+    if v is None:
+        return (u, None)
+    return orient(order, u, v)
+
+
+def reference_buchberger(elems, order):
+    """Reduced basis of (lead, tail) elements (tail None for a monomial) by
+    Buchberger's algorithm with the coprime criterion only: every other
+    S-pair is reduced."""
+    G = []
+    pairs = []
+
+    def push_pairs(j):
+        for i in range(j):
+            if G[i][1] is None and G[j][1] is None:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(G[i][0], G[j][0]))
+            if lcm == tuple(a + b for a, b in zip(G[i][0], G[j][0])):
+                continue
+            heapq.heappush(pairs, (order.degree(lcm), order.key(lcm), i, j))
+
+    def add(elem):
+        nf = _ref_normal_form(order, elem, G)
+        if nf is not None:
+            G.append(nf)
+            push_pairs(len(G) - 1)
+
+    for e in sorted((e for e in elems if e is not None), key=lambda e: order.key(e[0])):
+        add(e)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        (a, b), (c, d) = G[i], G[j]
+        lcm = tuple(max(x, y) for x, y in zip(a, c))
+        u = None if b is None else tuple(l - x + y for l, x, y in zip(lcm, a, b))
+        v = None if d is None else tuple(l - x + y for l, x, y in zip(lcm, c, d))
+        if u == v:
+            continue
+        if u is None or (v is not None and order.key(u) < order.key(v)):
+            u, v = v, u
+        add((u, v))
+    G.sort(key=lambda e: order.key(e[0]))
+    minimal = []
+    for e in G:
+        if not any(_ref_divides(f[0], e[0]) for f in minimal):
+            minimal.append(e)
+    return tuple(
+        (lead, tail if tail is None else _ref_reduce_term(tail, minimal))
+        for lead, tail in minimal
+    )
+
+
+def _fixpoint_basis(gens, order):
+    from latreg.binomial_gb import BinomialIdeal, buchberger
+
+    G = buchberger(BinomialIdeal(len(order.weights), tuple(gens)), order)
+    return tuple((g.plus, g.minus) for g in G.elements)
+
+
+def fixpoint_saturate_variable(gens, grading, i):
+    """Generators of (gens : t_i^infty) by repeated basis-and-divide under
+    grevlex with t_i last, until no element is divisible by t_i."""
+    from latreg.ring_core import Binomial, MonomialOrder
+
+    order = MonomialOrder.grevlex(grading, last=i)
+    while True:
+        changed = False
+        stripped = []
+        for lead, tail in _fixpoint_basis(gens, order):
+            k = min(lead[i], tail[i])
+            if k > 0:
+                changed = True
+                lead = lead[:i] + (lead[i] - k,) + lead[i + 1 :]
+                tail = tail[:i] + (tail[i] - k,) + tail[i + 1 :]
+            stripped.append(Binomial(lead, tail))
+        gens = tuple(stripped)
+        if not changed:
+            return gens
+
+
+def fixpoint_saturate_all(gens, grading):
+    """Generators of (gens : (t_1...t_s)^infty): sweep the variable
+    saturations until the canonical grevlex basis stops changing."""
+    from latreg.ring_core import Binomial, MonomialOrder
+
+    order = MonomialOrder.grevlex(grading)
+    snapshot = _fixpoint_basis(gens, order)
+    while True:
+        for i in range(grading.num_vars):
+            gens = fixpoint_saturate_variable(gens, grading, i)
+        after = _fixpoint_basis(gens, order)
+        if after == snapshot:
+            return tuple(Binomial(lead, tail) for lead, tail in after)
+        snapshot = after
+
+
+def elimination_vanishing_ideal(vs, q):
+    """Generators of I(X), X parameterized by y^{v_i} over F_q, by
+    eliminating y and z from ({t_i - y^{v_i} z} U {y_j^{q-1} - 1}), then
+    re-reducing in K[t] under grevlex."""
+    from latreg.binomial_gb import BinomialIdeal, buchberger, eliminate
+    from latreg.ring_core import Binomial, MonomialOrder, standard_grading
+
+    s, n = len(vs), len(vs[0])
+    total = n + 1 + s  # variable layout: y_1..y_n, z, t_1..t_s
+    gens = []
+    for i, v in enumerate(vs):
+        plus = tuple(1 if j == n + 1 + i else 0 for j in range(total))
+        gens.append(Binomial(plus, tuple(v) + (1,) + (0,) * s))
+    for j in range(n):
+        plus = tuple(q - 1 if k == j else 0 for k in range(total))
+        gens.append(Binomial(plus, (0,) * total))
+    order = MonomialOrder.elimination(n + 1, standard_grading(total))
+    J = eliminate(buchberger(BinomialIdeal(total, tuple(gens)), order), range(n + 1, total))
+    return buchberger(J, MonomialOrder.grevlex(standard_grading(s))).elements
+
+
+def smallest_pivot_numerator(gens, d):
+    """Hilbert numerator of S/(gens) by the recursion
+    N(M) = N(M') - t^deg(m) N(M' : m), m the generator of least weighted
+    degree and M' the ideal of the others."""
+
+    def minimalize(gs):
+        out = []
+        for g in sorted(set(gs)):
+            if not any(_ref_divides(h, g) for h in out):
+                out.append(g)
+        return tuple(out)
+
+    def deg(g):
+        return sum(x * w for x, w in zip(g, d.weights))
+
+    def one_minus(k):
+        return [1] + [0] * (k - 1) + [-1]
+
+    def num(gs):
+        if not gs:
+            return [1]
+        if any(not any(g) for g in gs):
+            return [0]
+        if len(gs) == 1:
+            return one_minus(deg(gs[0]))
+        k = min(range(len(gs)), key=lambda i: (deg(gs[i]), i))
+        m = gs[k]
+        rest = gs[:k] + gs[k + 1 :]
+        colon = minimalize(tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest)
+        a = num(rest)
+        b = [0] * deg(m) + num(colon)
+        out = [0] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            out[i] += c
+        for i, c in enumerate(b):
+            out[i] -= c
+        return out
+
+    out = num(minimalize(tuple(g) for g in gens))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)

@@ -230,7 +230,7 @@ def test_criterion_07_elimination_vanishing_ideal():
         std = standard_grading(I.num_vars)
         F = ideal_hilbert(I, MonomialOrder.grevlex(std), std)
         assert F.expand(reg + 2) == hilbert_table_points(X, reg + 2), (q, vs)
-    print("PASS criterion 7: eliminated vanishing ideals vanish on the points "
+    print("PASS criterion 7: vanishing ideals vanish on the points "
           "and reproduce the evaluation-rank tables up to reg + 2")
 
 
