@@ -28,6 +28,7 @@ from .ffvanish import (
     enumerate_parameterized,
     hilbert_function_points,
     is_subgroup_of_torus,
+    parameterized_hilbert_table,
     regularity_points,
     subgroup_to_monomials,
 )

@@ -27,11 +27,12 @@ from .errors import (
     UnsupportedFieldError,
     UnsupportedInputError,
 )
-from .intlat import Lattice, is_homogeneous, kernel_lattice
+from .intlat import Lattice, is_homogeneous, is_prime, kernel_lattice
 from .ring_core import (
     Binomial,
     Grading,
     MonomialOrder,
+    exponent_vectors,
     split_parts,
     standard_grading,
 )
@@ -451,17 +452,6 @@ def toric_ideal_monomial_map(vs, homogenize_with_z: bool) -> BinomialIdeal:
     return lattice_ideal_generators(kernel_lattice(rows), grading)
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     """Vanishing ideal I(X) of the set parameterized by y^{v_1},...,y^{v_s}
     over the prime field F_q.
@@ -473,13 +463,9 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
     basis.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
-    vs = [tuple(int(x) for x in v) for v in vs]
-    if not vs or len({len(v) for v in vs}) != 1:
-        raise InvalidArgumentError("need exponent vectors of one common length")
-    if any(x < 0 for v in vs for x in v) or any(all(x == 0 for x in v) for v in vs):
-        raise InvalidArgumentError("exponent vectors must be nonzero and nonnegative")
+    vs = exponent_vectors(vs)
     s = len(vs)
     n = len(vs[0])
     rows = [(1,) * s + (0,) * n]

@@ -21,14 +21,12 @@ from .binomial_gb import (
 from .errors import LatregError, ParseError
 from .ffvanish import (
     PrimeField,
-    enumerate_degenerate_torus,
-    enumerate_parameterized,
-    hilbert_table_points,
-    regularity_points,
+    degenerate_torus_vectors,
+    parameterized_hilbert_table,
 )
 from .graphblocks import (
     Graph,
-    edge_point_set,
+    edge_regularity,
     graph,
     reg_bipartite_blocks,
     reg_bounds_bipartite,
@@ -239,43 +237,36 @@ def _cmd_vanish(args):
     if (args.torus is None) == (args.monomials is None):
         raise ParseError("need exactly one of --torus or --monomials")
     if args.torus is not None:
-        X = enumerate_degenerate_torus(field, _ints(args.torus))
-        vs = None
+        vs = degenerate_torus_vectors(_ints(args.torus))
     else:
         try:
             raw = json.loads(args.monomials)
             vs = [tuple(int(x) for x in v) for v in raw]
         except (ValueError, TypeError) as e:
             raise ParseError(f"bad monomial list: {e}") from e
-        X = enumerate_parameterized(field, vs)
-    reg = regularity_points(X)
-    table = hilbert_table_points(X, reg + 1)
+    # H(0..reg); the last value is |X|, and H(reg + 1) repeats it
+    table = parameterized_hilbert_table(field, vs)
+    reg, size = len(table) - 1, table[-1]
+    table.append(size)
     lines = [
-        f"|X|={len(X)}",
+        f"|X|={size}",
         "H(0..{}): {}".format(len(table) - 1, " ".join(map(str, table))),
         f"reg={reg}",
     ]
-    obj = {"size": len(X), "H": table, "reg": reg}
+    obj = {"size": size, "H": table, "reg": reg}
     if args.ideal:
-        I = vanishing_ideal_finite_field(
-            vs if vs is not None else _torus_vectors(_ints(args.torus)), args.q
-        )
+        I = vanishing_ideal_finite_field(vs, args.q)
         basis = [render_binomial(b) for b in I.gens]
         obj["ideal"] = basis
         lines += ["ideal:"] + ["  " + b for b in basis]
     _emit(args, obj, lines)
 
 
-def _torus_vectors(v):
-    s = len(v)
-    return [tuple(v[i] if j == i else 0 for j in range(s)) for i in range(s)]
-
-
 def _cmd_graph_reg(args):
     G = _load_graph(args.file)
     field = PrimeField(args.q)
     if args.method == "oracle":
-        reg = regularity_points(edge_point_set(G, field))
+        reg = edge_regularity(G, field)
         _emit(args, {"reg": reg, "method": "oracle"}, [f"reg={reg}"])
     elif args.method == "blocks":
         reg = reg_bipartite_blocks(G, field)

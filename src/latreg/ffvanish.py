@@ -1,12 +1,19 @@
-"""Point sets over prime fields: enumeration of monomially parameterized
-sets, Hilbert functions by evaluation rank, regularity oracles, and subgroup
-classification.
+"""Point sets over prime fields: monomially parameterized sets, Hilbert
+functions and regularity, and subgroup classification.
 
-Projective points are normalized so the last nonzero coordinate is 1, making
-set semantics canonical.  Ranks are computed over F_p with vectorized
-Gaussian elimination; instead of building the full (monomials x points)
-matrix, the degree-d evaluation space is grown as V_d = sum_i x_i * V_{d-1},
-which spans exactly the image of the degree-d forms and gives the same rank.
+A set X parameterized by y^{v_1}, ..., y^{v_s} is a subgroup of the
+projective torus, and on it a degree-d monomial t^a is the character
+x |-> x^{V a} of (F_p^*)^n.  Distinct characters are linearly independent
+(Dedekind), so H_X(d) is the number of residues V a mod (p-1) with |a| = d;
+``parameterized_hilbert_table`` counts them as a sumset, with no point
+enumerated and no linear algebra.
+
+Arbitrary point sets get their Hilbert function as an evaluation rank over
+F_p, in exact Python integers, so any prime p is handled.  Projective points
+are normalized so the last nonzero coordinate is 1, making set semantics
+canonical.  Instead of building the full (monomials x points) matrix, the
+degree-d evaluation space is grown as V_d = sum_i x_i * V_{d-1}, which spans
+exactly the image of the degree-d forms and gives the same rank.
 """
 
 from __future__ import annotations
@@ -14,15 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .binomial_gb import BinomialIdeal
 from .errors import (
     DimensionError,
+    InternalError,
     InvalidArgumentError,
     UnsupportedFieldError,
 )
-from .ring_core import standard_grading
+from .intlat import is_prime
+from .ring_core import exponent_vectors, standard_grading
 
 
 @dataclass(frozen=True)
@@ -30,9 +37,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        q = self.p
-        if q < 2 or any(q % k == 0 for k in range(2, int(q**0.5) + 1)):
-            raise UnsupportedFieldError(f"{q} is not prime")
+        if not is_prime(self.p):
+            raise UnsupportedFieldError(f"{self.p} is not prime")
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -78,16 +84,17 @@ def point_set(field: PrimeField, coords_iterable) -> PointSet:
     return PointSet(field, tuple(normalize_point(field, c) for c in coords_iterable))
 
 
+def _parameterization(field: PrimeField, vs) -> list[tuple[int, ...]]:
+    """The checked exponent vectors of a set parameterized over field."""
+    if field.p < 3:
+        raise UnsupportedFieldError("parameterized sets need p >= 3")
+    return exponent_vectors(vs)
+
+
 def enumerate_parameterized(field: PrimeField, vs) -> PointSet:
     """{[x^{v_1} : ... : x^{v_s}] : x in (F_p^*)^n}."""
+    vs = _parameterization(field, vs)
     p = field.p
-    if p < 3:
-        raise UnsupportedFieldError("parameterized sets need p >= 3")
-    vs = [tuple(int(e) for e in v) for v in vs]
-    if not vs or len({len(v) for v in vs}) != 1:
-        raise InvalidArgumentError("need exponent vectors of one common length")
-    if any(e < 0 for v in vs for e in v) or any(all(e == 0 for e in v) for v in vs):
-        raise InvalidArgumentError("exponent vectors must be nonzero and nonnegative")
     n = len(vs[0])
     # x^e for all units x and exponents appearing in vs
     pw = {x: {e: pow(x, e, p) for e in {e for v in vs for e in v}} for x in range(1, p)}
@@ -100,6 +107,30 @@ def enumerate_parameterized(field: PrimeField, vs) -> PointSet:
     return PointSet(field, tuple(pts))
 
 
+def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
+    """H_X(0), ..., H_X(reg) for X parameterized by y^{v_1}, ..., y^{v_s}.
+
+    H_X(d) counts the distinct characters x |-> x^{V a} of the torus
+    (F_p^*)^n over |a| = d, i.e. the residues V a mod (p-1): the sumset
+    S_d = S_{d-1} + {v_i mod (p-1)}.  Translating by one v_i embeds S_d in
+    S_{d+1}, so once a step adds nothing no later step can: the table stops
+    at reg, the first d with H_X(d) = H_X(d+1), and its last entry is |X|.
+    """
+    vs = _parameterization(field, vs)
+    m = field.p - 1
+    steps = {tuple(e % m for e in v) for v in vs}
+    level = {(0,) * len(vs[0])}
+    table = [1]
+    while True:
+        level_next = {
+            tuple((a + b) % m for a, b in zip(u, w)) for u in level for w in steps
+        }
+        if len(level_next) == len(level):
+            return table
+        level = level_next
+        table.append(len(level))
+
+
 def _prod_mod(factors, p):
     out = 1
     for f in factors:
@@ -107,51 +138,56 @@ def _prod_mod(factors, p):
     return out
 
 
-def enumerate_degenerate_torus(field: PrimeField, v) -> PointSet:
-    """{[x_1^{v_1} : ... : x_s^{v_s}]}: the parameterized set with each v_i on
-    its own parameter."""
+def degenerate_torus_vectors(v) -> list[tuple[int, ...]]:
+    """v_i e_i for each entry of the type v: each v_i on its own parameter."""
     v = tuple(int(x) for x in v)
     if any(x < 1 for x in v):
         raise InvalidArgumentError("torus type entries must be positive")
     s = len(v)
-    vs = [tuple(v[i] if j == i else 0 for j in range(s)) for i in range(s)]
-    return enumerate_parameterized(field, vs)
+    return [tuple(v[i] if j == i else 0 for j in range(s)) for i in range(s)]
 
 
-def _row_reduce(M: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row echelon basis of the row space over F_p."""
-    M = M % p
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivots = np.nonzero(M[r:, c])[0]
-        if pivots.size == 0:
+def enumerate_degenerate_torus(field: PrimeField, v) -> PointSet:
+    """{[x_1^{v_1} : ... : x_s^{v_s}]}: the parameterized set with each v_i on
+    its own parameter."""
+    return enumerate_parameterized(field, degenerate_torus_vectors(v))
+
+
+def _extend_basis(basis: dict[int, list[int]], rows, p: int) -> None:
+    """Add rows to a reduced row echelon basis over F_p, kept as pivot
+    column -> row with 1 at its pivot and 0 at every other pivot."""
+    for row in rows:
+        for c, b in basis.items():
+            f = row[c]
+            if f:  # b is zero before column c
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], b[c:])]
+        k = next((k for k, x in enumerate(row) if x), None)
+        if k is None:
             continue
-        i = r + int(pivots[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        others = np.nonzero(M[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
-        r += 1
-    return M[:r]
+        u = pow(row[k], p - 2, p)
+        row[k:] = [x * u % p for x in row[k:]]
+        for b in basis.values():
+            f = b[k]
+            if f:
+                b[k:] = [(x - f * y) % p for x, y in zip(b[k:], row[k:])]
+        basis[k] = row
 
 
 def _evaluation_chain(X: PointSet):
-    """Yield (d, basis) where basis rows span the evaluations of degree-d
-    forms on X, for d = 0, 1, 2, ..."""
+    """Yield (d, H_X(d)) for d = 0, 1, 2, ...: the size of a basis of V_d,
+    the evaluations of degree-d forms on X.  Each degree rebuilds the basis
+    of V_{d+1} = sum_i x_i V_d from x_i * row for every basis row of V_d."""
     p = X.field.p
-    coords = np.array(X.points, dtype=np.int64).T  # shape (s, |X|)
-    basis = np.ones((1, len(X)), dtype=np.int64)
+    coords = list(zip(*X.points))
+    basis = {0: [1] * len(X)}
     d = 0
     while True:
-        yield d, basis
-        cand = np.vstack([basis * coords[i] % p for i in range(X.num_coords)])
-        basis = _row_reduce(cand, p)
+        yield d, len(basis)
+        rows = list(basis.values())
+        basis = {}
+        _extend_basis(
+            basis, ([x * y % p for x, y in zip(row, col)] for col in coords for row in rows), p
+        )
         d += 1
 
 
@@ -160,28 +196,29 @@ def hilbert_function_points(X: PointSet, d: int) -> int:
     at the points.  Monotone nondecreasing in d and bounded by |X|."""
     if d < 0:
         raise InvalidArgumentError("degree must be nonnegative")
-    for k, basis in _evaluation_chain(X):
+    for k, rank in _evaluation_chain(X):
         if k == d:
-            return int(basis.shape[0])
+            return rank
 
 
 def hilbert_table_points(X: PointSet, dmax: int) -> list[int]:
     out = []
-    for k, basis in _evaluation_chain(X):
+    for k, rank in _evaluation_chain(X):
         if k > dmax:
             return out
-        out.append(int(basis.shape[0]))
+        out.append(rank)
 
 
 def regularity_points(X: PointSet) -> int:
     """Least d with H_X(d) = |X|; the regularity of the vanishing ideal
     (Cohen-Macaulay of dimension 1, so regularity = index of regularity)."""
     m = len(X)
-    for d, basis in _evaluation_chain(X):
-        if basis.shape[0] == m:
+    for d, rank in _evaluation_chain(X):
+        if rank == m:
             return d
         # Hilbert functions of points strictly increase until |X|
-        assert d <= m + 1, "evaluation rank failed to reach |X|"
+        if d > m + 1:
+            raise InternalError("evaluation rank failed to reach |X|")
 
 
 def _mul_points(field, a, b):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomial_gb import BinomialIdeal, GroebnerBasis, buchberger, initial_ideal
+from .binomial_gb import BinomialIdeal, buchberger, initial_ideal
 from .errors import (
     DimensionError,
     InvalidArgumentError,
@@ -241,10 +241,6 @@ def ideal_hilbert(I: BinomialIdeal, order: MonomialOrder, d: Grading) -> Hilbert
         if not g.is_homogeneous(d):
             raise InvalidArgumentError("ideal is not homogeneous for the grading")
     G = buchberger(I, order)
-    return monomial_hilbert(initial_ideal(G), d)
-
-
-def groebner_hilbert(G: GroebnerBasis, d: Grading) -> HilbertSeries:
     return monomial_hilbert(initial_ideal(G), d)
 
 

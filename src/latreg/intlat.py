@@ -27,6 +27,36 @@ def as_matrix(rows, cols: int | None = None) -> Matrix:
     return M
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(q: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases; the one primality test of
+    the package.  Exact for q < 3.3e24 (no strong pseudoprime to all these
+    bases lies below 3317044064679887385961981); above that a strong
+    probable-prime test, fast for any size of q."""
+    if q < 2:
+        return False
+    for b in _MR_BASES:
+        if q % b == 0:
+            return q == b
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -9,8 +9,8 @@ from functools import reduce
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError, NotFoundError
-from .intlat import Lattice, is_homogeneous, torsion_order
+from .errors import InternalError, InvalidArgumentError, NotFoundError
+from .intlat import Lattice, is_homogeneous, is_prime, torsion_order
 from .numsgp import NumericalSemigroup, frobenius_number
 from .ring_core import Grading
 
@@ -89,24 +89,13 @@ class TorusSpec:
         object.__setattr__(self, "v", tuple(int(x) for x in self.v))
         if any(x < 1 for x in self.v):
             raise InvalidArgumentError("torus type entries must be positive")
-        if not _is_prime(self.q):
+        if not is_prime(self.q):
             raise InvalidArgumentError(f"{self.q} is not prime")
 
     @property
     def derived_weights(self) -> Grading:
         """d_i = (q-1) / gcd(v_i, q-1); each divides q-1."""
         return Grading(tuple((self.q - 1) // gcd(x, self.q - 1) for x in self.v))
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    k = 2
-    while k * k <= q:
-        if q % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def degenerate_torus_invariants(spec: TorusSpec) -> TorusInvariants:
@@ -122,9 +111,10 @@ def prescribe_regularity(d: Grading) -> TorusSpec:
     m = reduce(lcm, d.weights)
     q = m + 1
     while q <= _PRIME_SCAN_CAP:
-        if q >= 3 and _is_prime(q):
+        if q >= 3 and is_prime(q):
             spec = TorusSpec(q, tuple((q - 1) // w for w in d.weights))
-            assert spec.derived_weights == d, "prescribed type failed to round-trip"
+            if spec.derived_weights != d:
+                raise InternalError("prescribed type failed to round-trip")
             return spec
         q += m
     raise NotFoundError(f"no admissible prime below {_PRIME_SCAN_CAP}")

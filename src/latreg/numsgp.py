@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
-from .errors import InvalidArgumentError, InvalidSemigroupError
+from .errors import InternalError, InvalidArgumentError, InvalidSemigroupError
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def apery_set(S: NumericalSemigroup, m: int) -> list[int]:
     if m < 1 or not membership(S, m):
         raise InvalidArgumentError(f"{m} is not a positive element of the semigroup")
     dist = _least_per_residue(S.generators, m)
-    assert all(d is not None for d in dist), "apery set requires gcd 1 reachability"
+    if any(d is None for d in dist):
+        raise InternalError("apery set requires gcd 1 reachability")
     return list(dist)
 
 

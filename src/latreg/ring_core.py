@@ -66,8 +66,16 @@ def split_parts(c):
     return plus, minus
 
 
-def support(a):
-    return tuple(i for i, x in enumerate(a) if x != 0)
+def exponent_vectors(vs) -> list[tuple[int, ...]]:
+    """The exponent vectors y^{v_1}, ..., y^{v_s} of a monomial
+    parameterization as int tuples: nonzero, nonnegative, one common
+    length."""
+    vs = [tuple(int(e) for e in v) for v in vs]
+    if not vs or len({len(v) for v in vs}) != 1:
+        raise InvalidArgumentError("need exponent vectors of one common length")
+    if any(e < 0 for v in vs for e in v) or any(all(e == 0 for e in v) for v in vs):
+        raise InvalidArgumentError("exponent vectors must be nonzero and nonnegative")
+    return vs
 
 
 class Binomial:

@@ -95,6 +95,23 @@ def test_vanish(capsys):
     assert run(capsys, "vanish", "--q", "5")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--q", "2", "--torus", "1,2"], "unsupported-field"),
+        (["--q", "2", "--monomials", "[[1],[2]]"], "unsupported-field"),
+        (["--q", "3", "--monomials", "[[0,0]]"], "invalid-argument"),
+        (["--q", "3", "--monomials", "[[1],[1,2]]"], "invalid-argument"),
+        (["--q", "3", "--torus", "0,2"], "invalid-argument"),
+        (["--q", "3", "--torus", "0,2", "--ideal"], "invalid-argument"),
+    ],
+)
+def test_vanish_domain_errors(capsys, argv, name):
+    code, out, err = run(capsys, "vanish", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(name + ":")
+
+
 def test_graph_reg(tmp_path, capsys):
     path = tmp_path / "c4.json"
     path.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}))
@@ -109,6 +126,14 @@ def test_graph_reg(tmp_path, capsys):
     tri.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}))
     code, _, err = run(capsys, "graph-reg", "--q", "3", tri.as_posix())
     assert code == 1 and "precondition-violation" in err
+    iso = tmp_path / "iso.json"
+    iso.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
+    code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(iso))
+    assert code == 1 and err == "invalid-argument: graph has isolated vertices\n"
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 0, "edges": []}))
+    code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(empty))
+    assert code == 1 and err == "invalid-argument: graph has no edges\n"
 
 
 def test_json_output_deterministic(capsys):

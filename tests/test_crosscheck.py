@@ -1,6 +1,6 @@
 """Seeded cross-checks of the engine's routes against the slower reference
-routes in ``helpers``: reduced bases and Hilbert numerators must coincide
-exactly."""
+routes in ``helpers``: reduced bases, Hilbert numerators and Hilbert
+functions of point sets must coincide exactly."""
 
 import os
 import random
@@ -13,6 +13,7 @@ from helpers import (
     elimination_vanishing_ideal,
     fixpoint_saturate_all,
     fixpoint_saturate_variable,
+    naive_point_rank,
     orient,
     random_homogeneous_lattice,
     reference_buchberger,
@@ -25,6 +26,14 @@ from latreg.binomial_gb import (
     saturate_variable,
     vanishing_ideal_finite_field,
 )
+from latreg.ffvanish import (
+    PrimeField,
+    degenerate_torus_vectors,
+    enumerate_parameterized,
+    hilbert_table_points,
+    parameterized_hilbert_table,
+)
+from latreg.graphblocks import characteristic_vectors, edge_regularity, graph
 from latreg.hilbert import monomial_hilbert
 from latreg.ring_core import Binomial, Grading, MonomialOrder, split_parts
 
@@ -110,6 +119,63 @@ def test_variable_pivot_matches_smallest_pivot():
         assert monomial_hilbert(gens, d).numerator == smallest_pivot_numerator(gens, d)
 
 
+def _parameterized_cases(seed):
+    """(vs, q) with q <= 7: degenerate tori, small bipartite graphs, and
+    seeded random exponent vectors in at most 3 parameters."""
+    cases = [
+        (degenerate_torus_vectors(v), q)
+        for q in (3, 5, 7)
+        for v in [(1, 1), (1, 2), (2, 3), (3, 3), (1, 2, 3), (2, 2, 4)]
+    ]
+    c4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    graphs = [
+        graph(3, [(1, 2), (2, 3)]),
+        graph(4, c4),
+        graph(5, c4 + [(4, 5)]),
+        graph(5, [(a, b) for a in (1, 2) for b in (3, 4, 5)]),
+        graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
+    ]
+    cases += [(characteristic_vectors(G), 3) for G in graphs]
+    cases += [(characteristic_vectors(G), 5) for G in graphs[:3]]
+    cases.append((characteristic_vectors(graph(6, [(i, i % 6 + 1) for i in range(1, 7)])), 5))
+    rng = random.Random(seed)
+    while len(cases) < 60:
+        n = rng.randint(1, 3)
+        v = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        if all(any(e) for e in v):
+            cases.append((v, rng.choice((3, 5, 7))))
+    return cases
+
+
+def test_character_count_matches_evaluation_rank():
+    naive_checked = 0
+    for vs, q in _parameterized_cases(14):
+        field = PrimeField(q)
+        table = parameterized_hilbert_table(field, vs)
+        X = enumerate_parameterized(field, vs)
+        reg = len(table) - 1
+        assert table[-1] == len(X), (vs, q)
+        assert hilbert_table_points(X, reg + 1) == table + [len(X)], (vs, q)
+        if len(X) <= 64:
+            naive = [naive_point_rank(X.points, q, d) for d in range(reg + 2)]
+            assert naive == table + [len(X)], (vs, q)
+            naive_checked += 1
+    assert naive_checked >= 40
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("k", [2, 3])
+def test_even_cycle_closed_forms(k, q):
+    # |X| = (q-1)^(n-2) for a connected bipartite graph on n vertices, and
+    # reg = (q-2)(k-1) for the cycle C_2k
+    n = 2 * k
+    cycle = graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    field = PrimeField(q)
+    table = parameterized_hilbert_table(field, characteristic_vectors(cycle))
+    assert table[-1] == (q - 1) ** (n - 2)
+    assert len(table) - 1 == (q - 2) * (k - 1) == edge_regularity(cycle, field)
+
+
 _BROKEN_ENGINE = """
 import latreg.binomial_gb as gb
 from latreg.errors import InternalError
@@ -135,9 +201,33 @@ gb._normal_form_elem = lambda order, elem, basis, masks: ((0, 2), None)
 try:
     gb.normal_form(Binomial((2, 0), (0, 2)), G)
 except InternalError:
-    print("checked")
+    pass
 else:
     raise SystemExit("no InternalError for a monomial normal form")
+
+import itertools
+import latreg.ffvanish as ff
+import latreg.invariants as inv
+import latreg.numsgp as ns
+from latreg.ring_core import Grading
+
+ff._evaluation_chain = lambda X: ((d, 1) for d in itertools.count())
+ns._least_per_residue = lambda gens, m: [0] + [None] * (m - 1)
+inv.TorusSpec.derived_weights = property(lambda self: Grading((1,)))
+cases = {
+    "evaluation rank short of |X|": lambda: ff.regularity_points(
+        ff.point_set(ff.PrimeField(3), [(1, 1), (2, 1)])
+    ),
+    "unreachable Apery residue": lambda: ns.apery_set(ns.NumericalSemigroup((2, 3)), 4),
+    "prescribed type round trip": lambda: inv.prescribe_regularity(Grading((2, 3))),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except InternalError:
+        continue
+    raise SystemExit(f"no InternalError for {name}")
+print("checked")
 """
 
 

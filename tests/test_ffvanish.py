@@ -1,4 +1,8 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +21,7 @@ from latreg.ffvanish import (
     hilbert_function_points,
     hilbert_table_points,
     is_subgroup_of_torus,
+    parameterized_hilbert_table,
     point_set,
     regularity_points,
     subgroup_to_monomials,
@@ -85,6 +90,51 @@ def test_hilbert_function_matches_monomial_rank():
             assert hilbert_function_points(X, d) == naive_point_rank(
                 X.points, X.field.p, d
             ), (X.points, d)
+
+
+def test_rank_exact_for_primes_beyond_int64_products():
+    # products of two residues mod p overflow int64 for p > ~3.03e9; ten
+    # points of P^2 in general position have H = 1, 3, 6, 10
+    p = 4294967311
+    rng = random.Random(1)
+    X = point_set(PrimeField(p), [(rng.randrange(p), rng.randrange(p), 1) for _ in range(10)])
+    assert hilbert_table_points(X, 4) == [1, 3, 6, 10, 10]
+    assert [naive_point_rank(X.points, p, d) for d in range(5)] == [1, 3, 6, 10, 10]
+
+
+def test_parameterized_hilbert_table_examples():
+    assert parameterized_hilbert_table(F5, [(1, 0), (0, 2)]) == [1, 2, 3, 4]
+    assert parameterized_hilbert_table(F3, [(1,), (1,)]) == [1]
+    cyc = [(1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)]
+    assert parameterized_hilbert_table(F3, cyc) == [1, 4]
+
+
+def test_parameterized_checks_match_enumeration():
+    common = "need exponent vectors of one common length"
+    signs = "exponent vectors must be nonzero and nonnegative"
+    bad = [
+        (PrimeField(2), [(1,)], UnsupportedFieldError, "parameterized sets need p >= 3"),
+        (F3, [], InvalidArgumentError, common),
+        (F3, [(1,), (1, 2)], InvalidArgumentError, common),
+        (F3, [(1,), (0,)], InvalidArgumentError, signs),
+        (F3, [(1, -1)], InvalidArgumentError, signs),
+    ]
+    for field, vs, cls, message in bad:
+        for route in (enumerate_parameterized, parameterized_hilbert_table):
+            with pytest.raises(cls) as e:
+                route(field, vs)
+            assert str(e.value) == message, route
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, latreg; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_hilbert_function_monotone_bounded():

@@ -13,6 +13,7 @@ from latreg.intlat import (
     hermite_normal_form,
     homogenize_lattice,
     is_homogeneous,
+    is_prime,
     kernel_lattice,
     saturate_lattice,
     smith_normal_form,
@@ -215,3 +216,18 @@ def test_lattice_ambient_mismatch():
         Lattice(2, [(1, 2, 3)])
     with pytest.raises(InvalidArgumentError):
         kernel_lattice([])
+
+
+def test_is_prime_matches_sympy():
+    assert [q for q in range(-3, 20000) if is_prime(q)] == list(sympy.primerange(2, 20000))
+    rng = random.Random(7)
+    for q in [rng.randrange(10**6, 10**24) for _ in range(300)]:
+        assert is_prime(q) == sympy.isprime(q), q
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for q in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(q)
+    for q in (4294967311, 10**14 + 31, 2**61 - 1, 2**89 - 1):
+        assert is_prime(q)
+    # q far beyond float range answers at once
+    assert is_prime(2**1279 - 1)
+    assert not is_prime((2**521 - 1) * (2**607 - 1))
