@@ -5,13 +5,14 @@ exponent vectors, so no coefficient arithmetic ever happens and every result
 is simultaneously correct over all fields (char 2 included).  Internally an
 element is an oriented pair ``(lead, tail)``; ``tail is None`` denotes a bare
 monomial, which only arises when monomial generators are supplied explicitly
-(used by the colon-method regularity computation) -- with binomial-only input
-the engine stays closed inside pure differences, and checks it.
+(``initial_ideal_with_monomials``) -- with binomial-only input the engine
+stays closed inside pure differences, and checks it.
 
 Useless S-pairs are skipped by the Gebauer-Moeller criteria, and saturation
 by a variable takes a single Groebner basis (Bayer-Stillman), so
-``lattice_ideal_generators`` and ``vanishing_ideal_finite_field`` (a lattice
-ideal too) cost one basis per variable plus one canonical basis.
+``lattice_ideal_generators`` costs one basis per variable plus one canonical
+basis.  ``vanishing_ideal_finite_field`` costs one basis: adding the powers
+t_i^{q-1} - t_s^{q-1} reduces its saturation to one variable.
 """
 
 from __future__ import annotations
@@ -462,6 +463,13 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     projection onto the first s coordinates of ker [[1...1 | 0],
     [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
     basis.
+
+    Let J be generated by the binomials of that basis and by
+    t_i^{q-1} - t_s^{q-1} for i < s, all in I(L) since (q-1)(e_i - e_s) lies
+    in L.  Then I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1}
+    equals t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
+    I(X) = J : t_s^infty, one saturation by one variable.  Its generators
+    are the reduced basis under the standard grevlex order.
     """
     if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
@@ -474,8 +482,11 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
             tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
         )
     K = kernel_lattice(rows)
-    L = Lattice(s, [row[:s] for row in K.basis])
-    return lattice_ideal_generators(L, standard_grading(s))
+    gens = [Binomial(*split_parts(row[:s])) for row in K.basis]
+    top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
+    for i in range(s - 1):
+        gens.append(Binomial(tuple(q - 1 if k == i else 0 for k in range(s)), top))
+    return saturate_variable(BinomialIdeal(s, tuple(gens), standard_grading(s)), s - 1)
 
 
 def initial_ideal_with_monomials(

@@ -37,6 +37,11 @@ class NeedsLongerTableError(LatregError):
     name = "needs-longer-table"
 
 
+class BudgetExceededError(LatregError):
+    """An input would need more work than a fixed budget allows."""
+    name = "budget-exceeded"
+
+
 class NotFoundError(LatregError):
     name = "not-found"
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .binomial_gb import BinomialIdeal
 from .errors import (
+    BudgetExceededError,
     DimensionError,
     InternalError,
     InvalidArgumentError,
@@ -107,6 +108,11 @@ def enumerate_parameterized(field: PrimeField, vs) -> PointSet:
     return PointSet(field, tuple(pts))
 
 
+# sums formed by the character sumset before it gives up: over 10x the
+# 3.6e5 of C6 at q = 11
+_SUMSET_BUDGET = 4_000_000
+
+
 def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     """H_X(0), ..., H_X(reg) for X parameterized by y^{v_1}, ..., y^{v_s}.
 
@@ -115,13 +121,21 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     S_d = S_{d-1} + {v_i mod (p-1)}.  Translating by one v_i embeds S_d in
     S_{d+1}, so once a step adds nothing no later step can: the table stops
     at reg, the first d with H_X(d) = H_X(d+1), and its last entry is |X|.
+    Raises BudgetExceededError once the sums formed, sum_d |S_d| |steps|,
+    would pass _SUMSET_BUDGET.
     """
     vs = _parameterization(field, vs)
     m = field.p - 1
     steps = {tuple(e % m for e in v) for v in vs}
     level = {(0,) * len(vs[0])}
     table = [1]
+    formed = 0
     while True:
+        formed += len(level) * len(steps)
+        if formed > _SUMSET_BUDGET:
+            raise BudgetExceededError(
+                f"character sumset needs more than {_SUMSET_BUDGET} sums"
+            )
         level_next = {
             tuple((a + b) % m for a, b in zip(u, w)) for u in level for w in steps
         }

@@ -5,28 +5,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomial_gb import (
-    BinomialIdeal,
-    MonomialOrder,
-    buchberger,
-    initial_ideal,
-    initial_ideal_with_monomials,
-    toric_ideal_monomial_map,
-)
-from .errors import InvalidArgumentError, NotFoundError, PreconditionError
+from .binomial_gb import vanishing_ideal_finite_field
+from .errors import InvalidArgumentError, PreconditionError
 from .ffvanish import (
     PointSet,
     PrimeField,
     enumerate_parameterized,
     parameterized_hilbert_table,
 )
-from .hilbert import (
-    HilbertFunctionTable,
-    index_of_regularity,
-    monomial_hilbert,
-)
+from .hilbert import monomial_hilbert, reg_cm
 from .invariants import additive_regularity
-from .ring_core import Binomial, standard_grading
+from .ring_core import standard_grading
 
 
 @dataclass(frozen=True)
@@ -233,18 +222,14 @@ def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
     return ((b - 1) * (q - 2), (a + b - 2) * (q - 2))
 
 
-_COLON_POWER_CAP = 64
-
-
 def reg_colon_method(G: Graph, field: PrimeField) -> int:
-    """Regularity via the colon construction, entirely on Hilbert series.
+    """Regularity via the colon construction, on a Groebner basis.
 
-    Builds I = P + (t_i^{q-1} - t_j^{q-1} : i < j) with P the toric ideal of
-    the edge subring, picks t^a = (t_1...t_s)^N with the least N making
-    I + (t^a) m-primary (certified by the Hilbert series of the quotient
-    being a polynomial), and reads the regularity off the table difference
-    H_I(i) - H_{I+(t^a)}(i), which equals the Hilbert function of the point
-    set shifted by |a|.
+    I(X) = J : t_s^infty with J the lattice-basis binomials plus
+    t_i^{q-1} - t_s^{q-1} (``vanishing_ideal_finite_field``).  S/I(X) is
+    Cohen-Macaulay of dimension 1, so the regularity is read off the Hilbert
+    series of its initial ideal.  No character is counted, so this route
+    cross-checks ``edge_regularity``.
     """
     if bipartition(G) is None:
         raise PreconditionError("graph is not bipartite")
@@ -255,34 +240,5 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
         raise PreconditionError("need q >= 3")
     vs = characteristic_vectors(G)
     s = len(vs)
-    std = standard_grading(s)
-    toric = toric_ideal_monomial_map(vs, homogenize_with_z=True)
-    gens = list(toric.gens)
-    for i in range(s):
-        for j in range(i + 1, s):
-            plus = tuple(q - 1 if k == i else 0 for k in range(s))
-            minus = tuple(q - 1 if k == j else 0 for k in range(s))
-            gens.append(Binomial(plus, minus))
-    ideal = BinomialIdeal(s, tuple(gens), std)
-    order = MonomialOrder.grevlex(std)
-    basis = buchberger(ideal, order)
-    series_i = monomial_hilbert(initial_ideal(basis), std)
-
-    series_q = None
-    shift = None
-    for power in range(1, _COLON_POWER_CAP + 1):
-        mono = (power,) * s
-        in_q = initial_ideal_with_monomials(basis.elements, [mono], order, s)
-        candidate = monomial_hilbert(in_q, std)
-        if candidate.dimension() == 0:
-            series_q = candidate
-            shift = s * power
-            break
-    if series_q is None:
-        raise NotFoundError("no m-primary thickening found")
-
-    top = max(len(series_i.numerator), len(series_q.numerator), shift) + 2
-    h_i = series_i.expand(top)
-    h_q = series_q.expand(top)
-    diff = [h_i[k] - h_q[k] for k in range(shift, top + 1)]
-    return index_of_regularity(HilbertFunctionTable(tuple(diff)), 1)
+    leads = [g.plus for g in vanishing_ideal_finite_field(vs, q).gens]
+    return reg_cm(monomial_hilbert(leads, standard_grading(s)), s - 1)

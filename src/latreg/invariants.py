@@ -9,7 +9,12 @@ from functools import reduce
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .errors import InternalError, InvalidArgumentError, NotFoundError
+from .errors import (
+    InternalError,
+    InvalidArgumentError,
+    NotFoundError,
+    UnsupportedFieldError,
+)
 from .intlat import Lattice, is_homogeneous, is_prime, torsion_order
 from .numsgp import NumericalSemigroup, frobenius_number
 from .ring_core import Grading
@@ -90,7 +95,7 @@ class TorusSpec:
         if any(x < 1 for x in self.v):
             raise InvalidArgumentError("torus type entries must be positive")
         if not is_prime(self.q):
-            raise InvalidArgumentError(f"{self.q} is not prime")
+            raise UnsupportedFieldError(f"{self.q} is not prime")
 
     @property
     def derived_weights(self) -> Grading:

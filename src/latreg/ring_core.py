@@ -44,9 +44,6 @@ class Grading:
     def total(self) -> int:
         return sum(self.weights)
 
-    def is_standard(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
 
 def standard_grading(s: int) -> Grading:
     return Grading((1,) * s)
@@ -129,9 +126,6 @@ class Binomial:
             tuple(p - c for p, c in zip(self.plus, common)),
             tuple(m - c for m, c in zip(self.minus, common)),
         )
-
-    def flipped(self) -> "Binomial":
-        return Binomial(self.minus, self.plus)
 
     def vector(self):
         """plus - minus as a signed integer vector."""

@@ -253,6 +253,22 @@ def elimination_vanishing_ideal(vs, q):
     return buchberger(J, MonomialOrder.grevlex(standard_grading(s))).elements
 
 
+def saturated_lattice_vanishing_ideal(vs, q):
+    """Generators of I(X) as I(L), L = {a : sum a_i = 0, V a = 0 mod (q-1)},
+    by saturating the lattice-basis binomials by every variable in turn."""
+    from latreg.binomial_gb import lattice_ideal_generators
+    from latreg.ring_core import standard_grading
+
+    s, n = len(vs), len(vs[0])
+    rows = [(1,) * s + (0,) * n]
+    for j in range(n):
+        rows.append(
+            tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
+        )
+    L = Lattice(s, [row[:s] for row in kernel_lattice(rows).basis])
+    return lattice_ideal_generators(L, standard_grading(s)).gens
+
+
 def smallest_pivot_numerator(gens, d):
     """Hilbert numerator of S/(gens) by the recursion
     N(M) = N(M') - t^deg(m) N(M' : m), m the generator of least weighted

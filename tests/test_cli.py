@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from latreg import ffvanish
 from latreg.cli import main, parse_ideal_file
 from latreg.errors import ParseError
 
@@ -110,6 +111,20 @@ def test_vanish_domain_errors(capsys, argv, name):
     code, out, err = run(capsys, "vanish", *argv)
     assert (code, out) == (1, "")
     assert err.startswith(name + ":")
+
+
+def test_non_prime_q_is_one_error(capsys):
+    for argv in (["torus", "--q", "4", "--v", "1,2"], ["vanish", "--q", "4", "--torus", "1,2"]):
+        assert run(capsys, *argv) == (1, "", "unsupported-field: 4 is not prime\n")
+
+
+def test_vanish_sumset_budget(capsys, monkeypatch):
+    monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 10_000)
+    # q = 2^127 - 1: the sumset would grow towards (q-1) characters
+    q = str(2**127 - 1)
+    code, out, err = run(capsys, "vanish", "--q", q, "--torus", "1,2")
+    assert (code, out) == (1, "")
+    assert err.startswith("budget-exceeded:")
 
 
 def test_graph_reg(tmp_path, capsys):

@@ -17,6 +17,7 @@ from helpers import (
     orient,
     random_homogeneous_lattice,
     reference_buchberger,
+    saturated_lattice_vanishing_ideal,
     smallest_pivot_numerator,
 )
 from latreg.binomial_gb import (
@@ -33,7 +34,13 @@ from latreg.ffvanish import (
     hilbert_table_points,
     parameterized_hilbert_table,
 )
-from latreg.graphblocks import characteristic_vectors, edge_regularity, graph
+from latreg.graphblocks import (
+    characteristic_vectors,
+    edge_regularity,
+    graph,
+    is_forest,
+    reg_colon_method,
+)
 from latreg.hilbert import monomial_hilbert
 from latreg.ring_core import Binomial, Grading, MonomialOrder, split_parts
 
@@ -65,7 +72,7 @@ def test_core_matches_coprime_reference():
         for order in _orders(d, rng):
             elems = [orient(order, g.plus, g.minus) for g in gens]
             assert _buchberger_elems(elems, order) == reference_buchberger(elems, order)
-            # colon inputs: the same binomials plus monomial generators
+            # the same binomials plus monomial generators
             monos = [tuple(rng.randint(0, 2) for _ in range(s)) for _ in range(2)]
             mixed = elems + [(m, None) for m in monos if any(m)]
             assert _buchberger_elems(mixed, order) == reference_buchberger(mixed, order)
@@ -103,6 +110,57 @@ def test_single_pass_saturation_matches_fixpoint():
 )
 def test_lattice_route_matches_elimination(vs, q):
     assert vanishing_ideal_finite_field(vs, q).gens == elimination_vanishing_ideal(vs, q)
+
+
+def test_one_variable_colon_matches_full_saturation():
+    # J : t_s^infty against the lattice-basis ideal saturated by every
+    # variable; orientation and order of the generators must agree too
+    cases = _parameterized_cases(15)
+    cases += [([(1,)], 3), ([(2, 1)], 5), ([(3, 0, 1)], 7), ([(4,)], 11)]
+    cases += [
+        (degenerate_torus_vectors(v), q)
+        for q in (11, 13)
+        for v in [(1, 2), (2, 3, 4), (5, 5)]
+    ]
+    c4 = characteristic_vectors(graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+    cases += [(c4, 7), (c4, 11)]
+    assert len(cases) >= 60 and any(len(vs) == 1 for vs, _ in cases)
+    for vs, q in cases:
+        got = vanishing_ideal_finite_field(vs, q).gens
+        want = saturated_lattice_vanishing_ideal(vs, q)
+        assert [(g.plus, g.minus) for g in got] == [(g.plus, g.minus) for g in want], (vs, q)
+
+
+def _bipartite_with_cycle(rng, max_left):
+    while True:
+        left, right = rng.randint(2, max_left), rng.randint(2, 3)
+        n = left + right
+        edges = [
+            (u, v)
+            for u in range(1, left + 1)
+            for v in range(left + 1, n + 1)
+            if rng.random() < 0.7
+        ]
+        G = graph(n, edges)
+        if not G.isolated_vertices() and not is_forest(G):
+            return G
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_colon_method_matches_character_count(q):
+    rng = random.Random(16 + q)
+    field = PrimeField(q)
+    # six-vertex graphs take seconds at q = 11
+    max_left = 2 if q == 11 else 3
+    for _ in range(6):
+        G = _bipartite_with_cycle(rng, max_left)
+        assert reg_colon_method(G, field) == edge_regularity(G, field), G
+    c4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    # disconnected: C4 and a disjoint edge
+    G = graph(6, c4 + [(5, 6)])
+    assert reg_colon_method(G, field) == edge_regularity(G, field)
+    # an isolated vertex adds a coordinate on which no edge monomial depends
+    assert reg_colon_method(graph(5, c4), field) == edge_regularity(graph(4, c4), field)
 
 
 def test_variable_pivot_matches_smallest_pivot():

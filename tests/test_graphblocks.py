@@ -215,6 +215,10 @@ def test_colon_method_examples():
     assert reg_colon_method(C4, F3) == 1
     assert reg_colon_method(C6, F3) == 2
     assert reg_colon_method(C4, F5) == regularity_points(edge_point_set(C4, F5))
+    # (q-2)(k-1) for C_2k
+    F7 = PrimeField(7)
+    assert reg_colon_method(C4, F7) == 5
+    assert reg_colon_method(C6, F7) == 10
     with pytest.raises(PreconditionError):
         reg_colon_method(PATH3, F3)
     with pytest.raises(PreconditionError):
