@@ -10,8 +10,8 @@ stays closed inside pure differences, and checks it.
 
 Useless S-pairs are skipped by the Gebauer-Moeller criteria, and saturation
 by a variable takes a single Groebner basis (Bayer-Stillman), so
-``lattice_ideal_generators`` costs one basis per variable plus one canonical
-basis.  ``vanishing_ideal_finite_field`` costs one basis: adding the powers
+``lattice_ideal_generators`` costs one basis per variable.
+``vanishing_ideal_finite_field`` costs one basis: adding the powers
 t_i^{q-1} - t_s^{q-1} reduces its saturation to one variable.
 """
 
@@ -170,6 +170,23 @@ def _buchberger_elems(elems, order):
             zero = (tail_i is None and tail_h is None) or not masks[i] & mask_h
             new.append((order.degree(lcm), not zero, lcm, masks[i] | mask_h, i))
         new.sort(key=itemgetter(0, 1))
+        # an old pair (i, j) is redundant when lead_h divides its lcm and
+        # neither lcm(i, h) nor lcm(j, h) equals it
+        kept = []
+        for p in pairs:
+            _, _, i, j, lcm, lm = p
+            if (
+                not mask_h & ~lm
+                and _divides(lead_h, lcm)
+                and tuple(map(max, G[i][0], lead_h)) != lcm
+                and tuple(map(max, G[j][0], lead_h)) != lcm
+            ):
+                continue
+            kept.append(p)
+        # a sublist of a heap need not be a heap
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
         witnesses: list = []
         for deg, nonzero, lcm, lm, i in new:
             if nonzero and any(
@@ -178,23 +195,7 @@ def _buchberger_elems(elems, order):
                 continue
             witnesses.append((lcm, lm))
             if nonzero:
-                pairs.append((deg, order.key(lcm), i, h, lcm, lm))
-        # an old pair (i, j) is redundant when lead_h divides its lcm and
-        # neither lcm(i, h) nor lcm(j, h) equals it
-        kept = []
-        for p in pairs:
-            _, _, i, j, lcm, lm = p
-            if (
-                j != h
-                and not mask_h & ~lm
-                and _divides(lead_h, lcm)
-                and tuple(map(max, G[i][0], lead_h)) != lcm
-                and tuple(map(max, G[j][0], lead_h)) != lcm
-            ):
-                continue
-            kept.append(p)
-        pairs[:] = kept
-        heapq.heapify(pairs)
+                heapq.heappush(pairs, (deg, order.key(lcm), i, h, lcm, lm))
         # an element whose lead lead_h divides forms no further pairs
         active[:] = [
             i for i in active if mask_h & ~masks[i] or not _divides(lead_h, G[i][0])
@@ -345,16 +346,15 @@ def saturate_all(I: BinomialIdeal) -> BinomialIdeal:
 
     (I : (t_1 t_2)^infty) = ((I : t_1^infty) : t_2^infty), so one sweep
     suffices.  The generators are the reduced basis under the canonical
-    weighted grevlex order.
+    weighted grevlex order: the last pass puts t_s last, which is already
+    that order.
     """
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
     J = I
     for i in range(I.num_vars):
         J = saturate_variable(J, i)
-    return BinomialIdeal(
-        I.num_vars, buchberger(J, _canonical_order(I)).elements, I.grading
-    )
+    return J
 
 
 def is_lattice_ideal(I: BinomialIdeal) -> bool:
@@ -453,6 +453,22 @@ def toric_ideal_monomial_map(vs, homogenize_with_z: bool) -> BinomialIdeal:
     return lattice_ideal_generators(kernel_lattice(rows), grading)
 
 
+def _short_row(a, m):
+    """A vector of sum 0 congruent to a (of sum 0) modulo the m(e_i - e_s):
+    each entry but the last is the residue mod m, or that minus m, whichever
+    keeps the running sum nearer 0, and the last entry restores sum 0."""
+    out = []
+    total = 0
+    for x in a[:-1]:
+        r = x % m
+        if abs(total + r - m) < abs(total + r):
+            r -= m
+        out.append(r)
+        total += r
+    out.append(-total)
+    return out
+
+
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     """Vanishing ideal I(X) of the set parameterized by y^{v_1},...,y^{v_s}
     over the prime field F_q.
@@ -464,12 +480,16 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
     basis.
 
-    Let J be generated by the binomials of that basis and by
-    t_i^{q-1} - t_s^{q-1} for i < s, all in I(L) since (q-1)(e_i - e_s) lies
-    in L.  Then I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1}
-    equals t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
+    Let J be generated by t_i^{q-1} - t_s^{q-1} for i < s, all in I(L)
+    since (q-1)(e_i - e_s) lies in L, and by the binomials of the basis
+    rows reduced modulo these vectors (``_short_row``).  The reduced rows
+    and the (q-1)(e_i - e_s) still generate L, and their binomials have
+    degree at most about s(q-1)/2, where a raw basis row can be far longer.
+    So I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1} equals
+    t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
     I(X) = J : t_s^infty, one saturation by one variable.  Its generators
-    are the reduced basis under the standard grevlex order.
+    are the reduced basis under the standard grevlex order, which depends
+    on the ideal alone, not on J's generators.
     """
     if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
@@ -482,7 +502,7 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
             tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
         )
     K = kernel_lattice(rows)
-    gens = [Binomial(*split_parts(row[:s])) for row in K.basis]
+    gens = [Binomial(*split_parts(_short_row(row[:s], q - 1))) for row in K.basis]
     top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
     for i in range(s - 1):
         gens.append(Binomial(tuple(q - 1 if k == i else 0 for k in range(s)), top))

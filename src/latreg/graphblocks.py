@@ -225,11 +225,12 @@ def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
 def reg_colon_method(G: Graph, field: PrimeField) -> int:
     """Regularity via the colon construction, on a Groebner basis.
 
-    I(X) = J : t_s^infty with J the lattice-basis binomials plus
-    t_i^{q-1} - t_s^{q-1} (``vanishing_ideal_finite_field``).  S/I(X) is
-    Cohen-Macaulay of dimension 1, so the regularity is read off the Hilbert
-    series of its initial ideal.  No character is counted, so this route
-    cross-checks ``edge_regularity``.
+    I(X) = J : t_s^infty with J the binomials of the lattice-basis rows
+    reduced modulo the (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}
+    (``vanishing_ideal_finite_field``).  S/I(X) is Cohen-Macaulay of
+    dimension 1, so the regularity is read off the Hilbert series of its
+    initial ideal.  No character is counted, so this route cross-checks
+    ``edge_regularity``.
     """
     if bipartition(G) is None:
         raise PreconditionError("graph is not bipartite")

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
+from operator import mul, neg
 
 from .errors import DimensionError, InvalidArgumentError, ParseError
 
@@ -196,7 +197,7 @@ class MonomialOrder:
         if self.weights is None:
             return sum(a)
         self._check(a)
-        return sum(x * w for x, w in zip(a, self.weights))
+        return sum(map(mul, a, self.weights))
 
     def key(self, a) -> tuple:
         """Sort key: key(a) < key(b) iff t^a < t^b in this order."""
@@ -221,8 +222,7 @@ class MonomialOrder:
         if last is not None:
             a = a[:last] + a[last + 1 :] + (a[last],)
             weights = weights[:last] + weights[last + 1 :] + (weights[last],)
-        deg = sum(x * w for x, w in zip(a, weights))
-        return (deg,) + tuple(-x for x in reversed(a))
+        return (sum(map(mul, a, weights)), *map(neg, reversed(a)))
 
 
 def compare(order: MonomialOrder, a, b) -> int:

@@ -124,6 +124,10 @@ def test_one_variable_colon_matches_full_saturation():
     ]
     c4 = characteristic_vectors(graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
     cases += [(c4, 7), (c4, 11)]
+    # raw basis rows of degree far above q-1 (C6 at q=7 has one of degree 17)
+    for n, q in ((6, 7), (8, 3)):
+        cycle = graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+        cases.append((characteristic_vectors(cycle), q))
     assert len(cases) >= 60 and any(len(vs) == 1 for vs, _ in cases)
     for vs, q in cases:
         got = vanishing_ideal_finite_field(vs, q).gens

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -135,3 +136,29 @@ def test_parse_rejects_sums_and_garbage():
         parse_binomial("x1 - t2", 2)
     with pytest.raises(ParseError):
         parse_binomial("t9 - t1", 2)
+
+
+def _old_grevlex_key(a, weights, last):
+    # reference: the weighted grevlex key written out term by term
+    if last is not None:
+        a = a[:last] + a[last + 1 :] + (a[last],)
+        weights = weights[:last] + weights[last + 1 :] + (weights[last],)
+    deg = sum(x * w for x, w in zip(a, weights))
+    return (deg,) + tuple(-x for x in reversed(a))
+
+
+def test_grevlex_key_and_degree_match_generator_formula():
+    rng = random.Random(3)
+    for _ in range(40):
+        s = rng.randint(1, 6)
+        d = Grading(tuple(rng.randint(1, 4) for _ in range(s)))
+        vecs = [tuple(rng.randint(0, 5) for _ in range(s)) for _ in range(20)]
+        plain = MonomialOrder.grevlex(d)
+        for last in (None, *range(s)):
+            order = MonomialOrder.grevlex(d, last=last)
+            for a in vecs:
+                assert order.key(a) == _old_grevlex_key(a, d.weights, last)
+                assert order.degree(a) == sum(x * w for x, w in zip(a, d.weights))
+        # t_s already compares in the cheapest position
+        last_var = MonomialOrder.grevlex(d, last=s - 1)
+        assert all(last_var.key(a) == plain.key(a) for a in vecs)
