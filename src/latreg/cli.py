@@ -326,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("exponents", nargs="+", type=int)
     p.set_defaults(func=_cmd_prescribe)
 
-    p = sub.add_parser("vanish", help="point counts, Hilbert table, regularity")
+    p = sub.add_parser(
+        "vanish",
+        help="|X|, Hilbert table and regularity of a parameterized set, by a "
+        "breadth-first search over its characters (no point is enumerated)",
+    )
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--torus", help="comma-separated degenerate torus type")
     p.add_argument("--monomials", help="JSON list of exponent vectors")

@@ -102,6 +102,39 @@ def product_grid(*ranges):
     return itertools.product(*ranges)
 
 
+# sums the sumset forms before it gives up, as in the library's own budget
+SUMSET_BUDGET = 4_000_000
+
+
+def sumset_table(field, vs):
+    """H_X(0), ..., H_X(reg) for X parameterized by y^{v_1}, ..., y^{v_s}, as
+    the sizes of the character sumsets S_d = S_{d-1} + {v_i mod (p-1)},
+    rebuilt level by level on tuples until a level adds nothing.  Raises
+    BudgetExceededError once sum_d |S_d| |steps| would pass SUMSET_BUDGET."""
+    from latreg.errors import BudgetExceededError
+    from latreg.ffvanish import _parameterization
+
+    vs = _parameterization(field, vs)
+    m = field.p - 1
+    steps = {tuple(e % m for e in v) for v in vs}
+    level = {(0,) * len(vs[0])}
+    table = [1]
+    formed = 0
+    while True:
+        formed += len(level) * len(steps)
+        if formed > SUMSET_BUDGET:
+            raise BudgetExceededError(
+                f"character sumset needs more than {SUMSET_BUDGET} sums"
+            )
+        level_next = {
+            tuple((a + b) % m for a, b in zip(u, w)) for u in level for w in steps
+        }
+        if len(level_next) == len(level):
+            return table
+        level = level_next
+        table.append(len(level))
+
+
 # ---------------------------------------------------------------------------
 # reference routes: the engine's earlier, slower algorithms, so the current
 # ones can be checked against them on seeded inputs

@@ -19,6 +19,7 @@ from helpers import (
     reference_buchberger,
     saturated_lattice_vanishing_ideal,
     smallest_pivot_numerator,
+    sumset_table,
 )
 from latreg.binomial_gb import (
     BinomialIdeal,
@@ -223,6 +224,53 @@ def test_character_count_matches_evaluation_rank():
             assert naive == table + [len(X)], (vs, q)
             naive_checked += 1
     assert naive_checked >= 40
+
+
+def _search_cases(seed):
+    """(vs, q) on the edges of the packed character search: one vector,
+    repeated vectors, vectors = 0 mod q-1, the Fermat primes (2(q-1) - 1 is
+    all ones, so a coordinate sum fills its field up to the guard bit), and
+    two primes whose packed characters span several machine words, with
+    vectors in a small subgroup so |X| stays small."""
+    rng = random.Random(seed)
+    cases = _parameterized_cases(seed)
+    for q in (3, 5, 7, 11, 13, 17, 257):
+        for _ in range(12):
+            n = rng.randint(1, 2 if q == 257 else 3)
+            top = 40 if q == 257 and n == 2 else 2 * q
+            vs = [
+                tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(rng.randint(1, 5))
+            ]
+            vs = [v if any(v) else (q - 1,) * n for v in vs]
+            if rng.random() < 0.5:
+                vs.append(rng.choice(vs))
+            if rng.random() < 0.5:
+                vs.insert(rng.randrange(len(vs) + 1), (rng.randint(1, 3) * (q - 1),) * n)
+            if q == 257 and n == 2:
+                vs = [tuple(32 * e for e in v) for v in vs]
+            cases.append((vs, q))
+    for q in (2**31 - 1, 2**61 - 1):
+        m = q - 1
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            r = rng.choice((2, 3, 6, 7, 9))
+            vs = [
+                tuple(rng.randint(0, r - 1) * (m // r) + rng.randint(0, 2) * m for _ in range(n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            cases.append(([v if any(v) else (m,) * n for v in vs], q))
+    return cases
+
+
+def test_character_search_matches_sumset():
+    # the breadth-first search over packed characters against the sumset
+    # rebuilt level by level on tuples
+    cases = _search_cases(15)
+    for vs, q in cases:
+        field = PrimeField(q)
+        assert parameterized_hilbert_table(field, vs) == sumset_table(field, vs), (vs, q)
+    assert sum(len(vs) == 1 for vs, _ in cases) >= 5
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])

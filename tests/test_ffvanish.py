@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from helpers import naive_point_rank
+from latreg import ffvanish
 from latreg.binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
 from latreg.errors import (
+    BudgetExceededError,
     InvalidArgumentError,
     UnsupportedFieldError,
 )
@@ -50,6 +52,17 @@ def test_enumerate_examples():
         enumerate_parameterized(PrimeField(2), [(1,)])
     with pytest.raises(InvalidArgumentError):
         enumerate_parameterized(F3, [(1,), (0,)])
+
+
+def test_enumeration_budget(monkeypatch):
+    # 3 parameters over F_7 make 6^3 tuples
+    vs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    monkeypatch.setattr(ffvanish, "_ENUMERATION_BUDGET", 6**3)
+    assert len(enumerate_parameterized(F7, vs)) == 6**2
+    monkeypatch.setattr(ffvanish, "_ENUMERATION_BUDGET", 6**3 - 1)
+    with pytest.raises(BudgetExceededError) as e:
+        enumerate_parameterized(F7, vs)
+    assert str(e.value) == f"enumeration needs more than {6**3 - 1} parameter tuples"
 
 
 def test_degenerate_torus_examples():

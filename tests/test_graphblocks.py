@@ -10,7 +10,8 @@ from latreg.binomial_gb import (
     toric_ideal_monomial_map,
     vanishing_ideal_finite_field,
 )
-from latreg.errors import InvalidArgumentError, PreconditionError
+from latreg import ffvanish
+from latreg.errors import BudgetExceededError, InvalidArgumentError, PreconditionError
 from latreg.ffvanish import PrimeField, regularity_points
 from latreg.graphblocks import (
     bipartition,
@@ -18,6 +19,7 @@ from latreg.graphblocks import (
     characteristic_vectors,
     connected_components,
     edge_point_set,
+    edge_regularity,
     graph,
     is_forest,
     reg_bipartite_blocks,
@@ -153,6 +155,17 @@ def test_reg_blocks_examples():
     assert regularity_points(edge_point_set(PATH3, F3)) == 1
     with pytest.raises(PreconditionError):
         reg_bipartite_blocks(TRIANGLE, F3)
+
+
+def test_edge_regularity_budget(monkeypatch):
+    # C6 at q = 7: each of the |X| = 6^4 characters is expanded once by the
+    # |U| = 5 differences of the edge vectors from the first one
+    F7 = PrimeField(7)
+    monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 6**4 * 5)
+    assert edge_regularity(C6, F7) == 10
+    monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 6**4 * 5 - 1)
+    with pytest.raises(BudgetExceededError):
+        edge_regularity(C6, F7)
 
 
 def test_block_additivity_random_suite():
