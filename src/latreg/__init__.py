@@ -7,7 +7,6 @@ from .binomial_gb import (
     BinomialIdeal,
     GroebnerBasis,
     buchberger,
-    eliminate,
     homogenize_binomials,
     ideal_equal,
     initial_ideal,

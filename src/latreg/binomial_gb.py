@@ -272,6 +272,8 @@ def _masks(elems):
 
 def buchberger(I: BinomialIdeal, order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of a pure-difference binomial ideal."""
+    if order.weights is not None and len(order.weights) != I.num_vars:
+        raise DimensionError("order does not match variable count")
     elems = _buchberger_elems(_to_elems(I.gens, order), order)
     _check_pure(elems)
     masks = _masks(elems)
@@ -320,25 +322,37 @@ def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
     Bayer-Stillman: under weighted grevlex with t_i cheapest, t_i divides a
     basis element of a homogeneous ideal as soon as it divides its lead, so
     dividing every element of one Groebner basis by its largest t_i power
-    gives a Groebner basis of the saturation.  The generators are its
-    reduced basis under that order.
+    gives a Groebner basis of the saturation.  t_i is made cheapest by
+    moving its coordinate last and running the plain weighted grevlex; the
+    generators are the reduced basis under that order, moved back.
     """
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
-    if not 0 <= i < I.num_vars:
+    s = I.num_vars
+    if not 0 <= i < s:
         raise InvalidArgumentError("variable index out of range")
-    order = MonomialOrder.grevlex(I.grading, last=i)
-    elems = _buchberger_elems(_to_elems(I.gens, order), order)
+    if i == s - 1:
+        to_last = from_last = tuple
+    else:  # s >= 2 here, so itemgetter returns tuples
+        to_last = itemgetter(*range(i), *range(i + 1, s), i)
+        from_last = itemgetter(*range(i), s - 1, *range(i, s - 1))
+    order = MonomialOrder.grevlex(Grading(to_last(I.grading.weights)))
+    elems = _buchberger_elems(
+        [_orient(order, to_last(g.plus), to_last(g.minus)) for g in I.gens], order
+    )
     _check_pure(elems)
     stripped = []
     for lead, tail in elems:
-        k = min(lead[i], tail[i])
+        k = min(lead[-1], tail[-1])
         if k > 0:
-            lead = lead[:i] + (lead[i] - k,) + lead[i + 1 :]
-            tail = tail[:i] + (tail[i] - k,) + tail[i + 1 :]
+            lead = lead[:-1] + (lead[-1] - k,)
+            tail = tail[:-1] + (tail[-1] - k,)
         stripped.append((lead, tail))
-    gens = tuple(Binomial(lead, tail) for lead, tail in _reduce_basis(stripped, order))
-    return BinomialIdeal(I.num_vars, gens, I.grading)
+    gens = tuple(
+        Binomial(from_last(lead), from_last(tail))
+        for lead, tail in _reduce_basis(stripped, order)
+    )
+    return BinomialIdeal(s, gens, I.grading)
 
 
 def saturate_all(I: BinomialIdeal) -> BinomialIdeal:
@@ -408,22 +422,6 @@ def is_complete_intersection(L: Lattice, bins, grading: Grading) -> bool:
     candidate = BinomialIdeal(L.ambient_dim, bins, grading)
     target = lattice_ideal_generators(L, grading)
     return ideal_equal(candidate, target, MonomialOrder.grevlex(grading))
-
-
-def eliminate(G: GroebnerBasis, keep) -> BinomialIdeal:
-    """Project a Groebner basis under an elimination order to K[keep].
-
-    ``keep`` must be exactly the non-eliminated block of the order.
-    """
-    keep = sorted(keep)
-    if G.order.kind != "elim" or keep != list(range(G.order.block, G.num_vars)):
-        raise InvalidArgumentError("order does not eliminate the complement of keep")
-    k = G.order.block
-    gens = []
-    for g in G.elements:
-        if all(x == 0 for x in g.plus[:k]) and all(x == 0 for x in g.minus[:k]):
-            gens.append(Binomial(g.plus[k:], g.minus[k:]))
-    return BinomialIdeal(G.num_vars - k, tuple(gens))
 
 
 def toric_ideal_monomial_map(vs, homogenize_with_z: bool) -> BinomialIdeal:

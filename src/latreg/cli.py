@@ -110,11 +110,20 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad integer list {text!r}") from e
 
 
+def _json_int(x) -> int:
+    """A JSON integer as it is; a number with a fraction, a bool or a string
+    raises TypeError, which the callers report as a parse error."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 def _load_lattice(path: str) -> Lattice:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return Lattice(int(data["ambient"]), [tuple(r) for r in data["generators"]])
+        rows = [tuple(map(_json_int, r)) for r in data["generators"]]
+        return Lattice(_json_int(data["ambient"]), rows)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ParseError(f"bad lattice file {path}: {e}") from e
 
@@ -123,7 +132,8 @@ def _load_graph(path: str) -> Graph:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+        edges = [tuple(map(_json_int, e)) for e in data["edges"]]
+        return graph(_json_int(data["n"]), edges)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ParseError(f"bad graph file {path}: {e}") from e
 
@@ -165,12 +175,9 @@ def _cmd_lattice(args):
 
 
 def _order_for(args, grading: Grading) -> MonomialOrder:
-    kind = getattr(args, "order", "grevlex") or "grevlex"
-    if kind == "grevlex":
-        return MonomialOrder.grevlex(grading)
-    if kind == "lex":
-        return MonomialOrder.lex()
-    raise ParseError(f"unknown order {kind!r}")
+    # argparse ``choices`` admits only these two
+    orders = {"grevlex": MonomialOrder.grevlex(grading), "lex": MonomialOrder.lex()}
+    return orders[args.order]
 
 
 def _cmd_gb(args):
@@ -241,7 +248,7 @@ def _cmd_vanish(args):
     else:
         try:
             raw = json.loads(args.monomials)
-            vs = [tuple(int(x) for x in v) for v in raw]
+            vs = [tuple(map(_json_int, v)) for v in raw]
         except (ValueError, TypeError) as e:
             raise ParseError(f"bad monomial list: {e}") from e
     # H(0..reg); the last value is |X|, and H(reg + 1) repeats it

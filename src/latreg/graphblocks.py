@@ -121,47 +121,59 @@ def bipartition(G: Graph):
 
 def blocks(G: Graph) -> BlockDecomposition:
     """Biconnected components by depth-first low-link; bridges come out as
-    two-vertex blocks, isolated vertices are reported separately."""
+    two-vertex blocks, isolated vertices are reported separately.
+
+    The search keeps its own stack of (vertex, parent, neighbour iterator)
+    frames, so a long path does not exhaust Python's recursion limit.
+    """
     adj = G.adjacency()
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[tuple[int, int]] = []
     out_blocks: list[tuple[tuple[int, int], ...]] = []
     cuts: set[int] = set()
-    counter = [0]
 
-    def dfs(u: int, parent: int | None):
-        disc[u] = low[u] = counter[0]
-        counter[0] += 1
-        children = 0
-        for w in adj[u]:
-            if w == parent:
-                continue
-            if w not in disc:
-                children += 1
-                stack.append((u, w))
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    # (u, w) closes a block; everything pushed after it belongs
+    for root in range(1, G.n + 1):
+        if root in disc or not adj[root]:
+            continue
+        disc[root] = low[root] = len(disc)
+        root_blocks = 0
+        frames = [(root, None, iter(adj[root]))]
+        while frames:
+            u, parent, neighbours = frames[-1]
+            for w in neighbours:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    stack.append((u, w))
+                    disc[w] = low[w] = len(disc)
+                    frames.append((w, u, iter(adj[w])))
+                    break
+                if disc[w] < disc[u]:
+                    stack.append((u, w))
+                    low[u] = min(low[u], disc[w])
+            else:
+                # u is finished; hand its low-link back to its parent
+                frames.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    # (parent, u) closes a block; everything pushed after it belongs
                     block = []
                     while True:
                         e = stack.pop()
                         block.append(e)
-                        if e == (u, w):
+                        if e == (parent, u):
                             break
                     out_blocks.append(tuple(sorted(tuple(sorted(e)) for e in block)))
-                    if parent is not None:
-                        cuts.add(u)
-            elif disc[w] < disc[u]:
-                stack.append((u, w))
-                low[u] = min(low[u], disc[w])
-        if parent is None and children > 1:
-            cuts.add(u)
-
-    for v in range(1, G.n + 1):
-        if v not in disc and adj[v]:
-            dfs(v, None)
+                    if parent == root:
+                        root_blocks += 1
+                    else:
+                        cuts.add(parent)
+        # each tree child of the root closes exactly one block
+        if root_blocks > 1:
+            cuts.add(root)
     return BlockDecomposition(
         tuple(sorted(out_blocks)), tuple(sorted(cuts)), G.isolated_vertices()
     )

@@ -152,83 +152,56 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order on exponent vectors.
+    """A monomial order on exponent vectors, one of the two the CLI offers.
 
     kinds:
       * ``grevlex`` -- weighted graded reverse lexicographic order for the
-        given weights.  ``last`` optionally names a variable index that is
-        compared in the cheapest position (used for variable saturation);
-        by default the ordinary variable order t_1 > ... > t_s is used.
-      * ``lex`` -- lexicographic, t_1 > ... > t_s.
-      * ``elim`` -- block order eliminating the first ``block`` variables:
-        grevlex on the first block, ties broken by grevlex on the rest.
-        Any monomial involving an eliminated variable beats any monomial
-        that does not, so basis elements free of the first block generate
-        the elimination ideal.
+        given weights, t_1 > ... > t_s within a degree.
+      * ``lex`` -- lexicographic, t_1 > ... > t_s; ``weights`` is None.
+
+    ``key`` and ``degree`` do not check the length of their vectors;
+    ``buchberger`` and ``compare`` check it where an order meets outside
+    input.  Saturation needs grevlex with some t_i cheapest: it permutes
+    the coordinates so that t_i comes last (``saturate_variable``).
     """
 
     kind: str
     weights: tuple[int, ...] | None = None
-    block: int = 0
-    last: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("grevlex", "lex"):
+            raise InvalidArgumentError(f"unknown order kind {self.kind!r}")
 
     @staticmethod
-    def grevlex(weights: Grading, last: int | None = None) -> "MonomialOrder":
-        if last is not None and not 0 <= last < weights.num_vars:
-            raise InvalidArgumentError("saturation variable out of range")
-        return MonomialOrder("grevlex", weights.weights, last=last)
+    def grevlex(weights: Grading) -> "MonomialOrder":
+        return MonomialOrder("grevlex", weights.weights)
 
     @staticmethod
     def lex() -> "MonomialOrder":
         return MonomialOrder("lex")
 
-    @staticmethod
-    def elimination(block: int, weights: Grading) -> "MonomialOrder":
-        if not 0 < block < weights.num_vars:
-            raise InvalidArgumentError("elimination block must be a proper prefix")
-        return MonomialOrder("elim", weights.weights, block=block)
-
-    def _check(self, a):
-        if self.weights is not None and len(a) != len(self.weights):
-            raise DimensionError("exponent vector does not match order")
-
     def degree(self, a) -> int:
         """Degree used by the S-pair selection strategy."""
         if self.weights is None:
             return sum(a)
-        self._check(a)
         return sum(map(mul, a, self.weights))
 
     def key(self, a) -> tuple:
         """Sort key: key(a) < key(b) iff t^a < t^b in this order."""
-        self._check(a)
         if self.kind == "lex":
             return tuple(a)
-        if self.kind == "grevlex":
-            return self._grevlex_key(a, self.weights, self.last)
-        if self.kind == "elim":
-            k = self.block
-            return (
-                self._grevlex_key(a[:k], self.weights[:k], None),
-                self._grevlex_key(a[k:], self.weights[k:], None),
-            )
-        raise InvalidArgumentError(f"unknown order kind {self.kind!r}")
-
-    @staticmethod
-    def _grevlex_key(a, weights, last):
         # In grevlex, within one degree class t^b > t^a iff the last nonzero
         # entry of b - a is negative; reversing and negating turns that into
         # ordinary tuple comparison.
-        if last is not None:
-            a = a[:last] + a[last + 1 :] + (a[last],)
-            weights = weights[:last] + weights[last + 1 :] + (weights[last],)
-        return (sum(map(mul, a, weights)), *map(neg, reversed(a)))
+        return (sum(map(mul, a, self.weights)), *map(neg, reversed(a)))
 
 
 def compare(order: MonomialOrder, a, b) -> int:
     """Compare t^a with t^b: -1 (less), 0 (equal), or 1 (greater)."""
     if len(a) != len(b):
         raise DimensionError("exponent vectors have different lengths")
+    if order.weights is not None and len(a) != len(order.weights):
+        raise DimensionError("exponent vector does not match order")
     ka, kb = order.key(tuple(a)), order.key(tuple(b))
     if ka < kb:
         return LESS

@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from helpers import in_kernel, monomials_up_to, random_homogeneous_lattice
+from helpers import (
+    BlockOrder,
+    eliminate,
+    in_kernel,
+    monomials_up_to,
+    random_homogeneous_lattice,
+)
 from latreg.binomial_gb import (
     BinomialIdeal,
     buchberger,
-    eliminate,
     homogenize_binomials,
     ideal_equal,
     initial_ideal,
@@ -21,6 +26,7 @@ from latreg.binomial_gb import (
     vanishing_ideal_finite_field,
 )
 from latreg.errors import (
+    DimensionError,
     InvalidArgumentError,
     UnsupportedFieldError,
     UnsupportedInputError,
@@ -58,6 +64,14 @@ def test_buchberger_principal():
     assert initial_ideal(Gw) == ((3, 0),)
 
 
+def test_buchberger_order_arity_mismatch_raises():
+    I = BinomialIdeal(3, (bi("t1 - t2", 3), bi("t2^2 - t1*t3", 3)))
+    with pytest.raises(DimensionError):
+        buchberger(I, grev(STD2))
+    with pytest.raises(DimensionError):
+        buchberger(I, grev(standard_grading(4)))
+
+
 def test_buchberger_vs_kernel_membership_oracle():
     # I = (t1 - y z, t2 - y^2 z) in the ring [y, z, t1, t2]; a binomial
     # t^a - t^b lies in the toric ideal iff a - b is in the kernel of the
@@ -66,7 +80,7 @@ def test_buchberger_vs_kernel_membership_oracle():
         Binomial((0, 0, 1, 0), (1, 1, 0, 0)),
         Binomial((0, 0, 0, 1), (2, 1, 0, 0)),
     )
-    G = buchberger(BinomialIdeal(4, gens), MonomialOrder.elimination(2, standard_grading(4)))
+    G = buchberger(BinomialIdeal(4, gens), BlockOrder(2, standard_grading(4).weights))
     # columns y, z, t1, t2 -> rows of the defining matrix
     rows = [(1, 0, -1, -2), (0, 1, -1, -1)]
     # (exponents of y and z in each monomial minus the images) -- equivalent:
@@ -279,12 +293,12 @@ def test_eliminate_examples():
         Binomial((0, 0, 1, 0), (1, 1, 0, 0)),
         Binomial((0, 0, 0, 1), (1, 1, 0, 0)),
     )
-    order = MonomialOrder.elimination(2, standard_grading(4))
+    order = BlockOrder(2, standard_grading(4).weights)
     G = buchberger(BinomialIdeal(4, gens), order)
     E = eliminate(G, range(2, 4))
     assert E.num_vars == 2 and E.gens == (Binomial((1, 0), (0, 1)),)
     # I = (t1 - y): nothing survives
-    order2 = MonomialOrder.elimination(1, standard_grading(2))
+    order2 = BlockOrder(1, STD2.weights)
     G2 = buchberger(BinomialIdeal(2, (Binomial((0, 1), (1, 0)),)), order2)
     assert eliminate(G2, [1]).gens == ()
     with pytest.raises(InvalidArgumentError):

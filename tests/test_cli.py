@@ -169,3 +169,57 @@ def test_json_output_deterministic(capsys):
 def test_version(capsys):
     code, out, _ = run(capsys, "version")
     assert code == 0 and out.startswith("latreg ")
+
+
+@pytest.mark.parametrize("monomials", ["[[1.5],[2]]", "[[true],[2]]", '[["1"],[2]]', "[[2.0],[1]]"])
+def test_vanish_monomials_must_be_integers(capsys, monomials):
+    code, out, err = run(capsys, "vanish", "--q", "5", "--monomials", monomials)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse-error: bad monomial list")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"ambient": 2, "generators": [[2.7, -2]]},
+        {"ambient": 2, "generators": [[True, -1]]},
+        {"ambient": 2.0, "generators": [[2, -2]]},
+        {"ambient": 2, "generators": ["12"]},
+    ],
+)
+def test_lattice_file_must_hold_integers(tmp_path, capsys, data):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lattice", "torsion", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse-error: bad lattice file")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 4.9, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+        {"n": True, "edges": []},
+        {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1.0, 4]]},
+        {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], ["1", 4]]},
+    ],
+)
+def test_graph_file_must_hold_integers(tmp_path, capsys, data):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse-error: bad graph file")
+
+
+def test_graph_reg_long_path(tmp_path, capsys):
+    # a tree on n vertices: reg = (n-2)(q-2), the projective-torus value,
+    # which is also the upper bound; the block search must not recurse
+    # once per edge
+    n = 2000
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(1, n)]}))
+    code, out, _ = run(capsys, "graph-reg", "--q", "3", "--method", "blocks", str(path))
+    assert (code, out) == (0, f"reg={n - 2}\n")
+    code, out, _ = run(capsys, "graph-reg", "--q", "3", "--method", "bounds", str(path))
+    assert (code, out) == (0, f"lower={n // 2 - 1} upper={n - 2}\n")

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from helpers import (
+    BlockOrder,
     elimination_vanishing_ideal,
     fixpoint_saturate_all,
     fixpoint_saturate_variable,
@@ -62,7 +63,7 @@ def _orders(d, rng):
     return [
         MonomialOrder.grevlex(d),
         MonomialOrder.lex(),
-        MonomialOrder.elimination(rng.randint(1, s - 1), d),
+        BlockOrder(rng.randint(1, s - 1), d.weights),
     ]
 
 

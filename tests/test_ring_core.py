@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from latreg.errors import DimensionError, ParseError
+from helpers import BlockOrder, GrevlexLast
+from latreg.errors import DimensionError, InvalidArgumentError, ParseError
 from latreg.ring_core import (
     Binomial,
     Grading,
@@ -74,7 +75,7 @@ def test_one_is_minimal():
     for order in (
         MonomialOrder.grevlex(Grading((2, 1, 3))),
         MonomialOrder.lex(),
-        MonomialOrder.elimination(1, standard_grading(3)),
+        BlockOrder(1, standard_grading(3).weights),
     ):
         zero = (0, 0, 0)
         for v in itertools.product(range(3), repeat=3):
@@ -83,7 +84,7 @@ def test_one_is_minimal():
 
 
 def test_elimination_order_blocks():
-    order = MonomialOrder.elimination(2, standard_grading(4))
+    order = BlockOrder(2, standard_grading(4).weights)
     # anything touching the first block beats anything entirely in the second
     assert compare(order, (1, 0, 0, 0), (0, 0, 5, 5)) == 1
     assert compare(order, (0, 1, 0, 0), (0, 0, 9, 0)) == 1
@@ -148,17 +149,40 @@ def _old_grevlex_key(a, weights, last):
 
 
 def test_grevlex_key_and_degree_match_generator_formula():
+    # the library's grevlex, and the test oracle's grevlex with t_last
+    # cheapest, against the formula; then the plain grevlex on coordinates
+    # permuted to put t_last at the end (what saturation runs) against the
+    # oracle order
     rng = random.Random(3)
     for _ in range(40):
         s = rng.randint(1, 6)
         d = Grading(tuple(rng.randint(1, 4) for _ in range(s)))
         vecs = [tuple(rng.randint(0, 5) for _ in range(s)) for _ in range(20)]
         plain = MonomialOrder.grevlex(d)
-        for last in (None, *range(s)):
-            order = MonomialOrder.grevlex(d, last=last)
+        for a in vecs:
+            assert plain.key(a) == _old_grevlex_key(a, d.weights, None)
+            assert plain.degree(a) == sum(x * w for x, w in zip(a, d.weights))
+        for last in range(s):
+            order = GrevlexLast(d.weights, last)
+            perm = [*range(last), *range(last + 1, s), last]
+            moved = MonomialOrder.grevlex(Grading(tuple(d.weights[k] for k in perm)))
             for a in vecs:
                 assert order.key(a) == _old_grevlex_key(a, d.weights, last)
-                assert order.degree(a) == sum(x * w for x, w in zip(a, d.weights))
+                assert order.degree(a) == plain.degree(a)
+                assert moved.key(tuple(a[k] for k in perm)) == order.key(a)
         # t_s already compares in the cheapest position
-        last_var = MonomialOrder.grevlex(d, last=s - 1)
+        last_var = GrevlexLast(d.weights, s - 1)
         assert all(last_var.key(a) == plain.key(a) for a in vecs)
+
+
+def test_unknown_order_kind_raises():
+    with pytest.raises(InvalidArgumentError):
+        MonomialOrder("revlex", (1, 1)).key((1, 0))
+
+
+def test_order_arity_mismatch_raises():
+    order = MonomialOrder.grevlex(Grading((1, 2)))
+    with pytest.raises(DimensionError):
+        compare(order, (1, 0, 0), (0, 1, 0))
+    # lex carries no weights and compares vectors of any one length
+    assert compare(MonomialOrder.lex(), (1, 0, 0), (0, 1, 0)) == 1
