@@ -58,13 +58,12 @@ from .hilbert import (
 )
 from .intlat import (
     Lattice,
-    SmithForm,
     hermite_normal_form,
     homogenize_lattice,
     is_homogeneous,
     kernel_lattice,
     saturate_lattice,
-    smith_normal_form,
+    smith_invariants,
     torsion_order,
 )
 from .invariants import (

@@ -39,7 +39,7 @@ from .hilbert import (
     poly_str,
     reg_cm,
 )
-from .intlat import Lattice, saturate_lattice, smith_normal_form, torsion_order
+from .intlat import Lattice, saturate_lattice, torsion_order
 from .invariants import (
     TorusSpec,
     curve_spec,
@@ -154,8 +154,7 @@ def _cmd_frobenius(args):
 def _cmd_lattice(args):
     L = _load_lattice(args.file)
     if args.action == "snf":
-        sf = smith_normal_form(L.basis if L.basis else ((0,) * L.ambient_dim,))
-        inv = list(sf.invariants)
+        inv = list(L.smith_invariants)
         _emit(
             args,
             {"rank": L.rank, "invariants": inv},

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .binomial_gb import BinomialIdeal
 from .errors import (
@@ -143,8 +144,10 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     A character is packed into one int, k+1 bits per coordinate with
     2^k > 2(p-1) - 1: a coordinate sum stays below 2^k, and after adding
     2^k - (p-1) its guard bit 2^k is set exactly when the sum needs p-1
-    subtracted.  Raises BudgetExceededError once the sums formed,
-    sum_d |F_d| |U| <= |X| |U|, would pass _SUMSET_BUDGET.
+    subtracted.  The search forms exactly |X| |U| sums, and |X| is at least
+    the order lcm_j (p-1)/gcd(u_j, p-1) of any u in U.  Raises
+    BudgetExceededError before the first layer when that order times |U|
+    passes _SUMSET_BUDGET, and otherwise once the sums formed would.
     """
     vs = _parameterization(field, vs)
     m = field.p - 1
@@ -153,14 +156,16 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     C = sum(((1 << k) - m) << f for f in shifts)
     H = sum(1 << (k + f) for f in shifts)
     w0 = vs[0]
-    U = {sum(((a - b) % m) << f for a, b, f in zip(w, w0, shifts)) for w in vs} - {0}
+    diffs = {tuple((a - b) % m for a, b in zip(w, w0)) for w in vs} - {(0,) * len(w0)}
+    U = {sum(x << f for x, f in zip(u, shifts)) for u in diffs}
+    order = max((lcm(*(m // gcd(x, m) for x in u)) for u in diffs), default=1)
     seen = {0}
     frontier = [0]
     table = [1]
     formed = 0
     while True:
         formed += len(frontier) * len(U)
-        if formed > _SUMSET_BUDGET:
+        if max(formed, order * len(U)) > _SUMSET_BUDGET:
             raise BudgetExceededError(
                 f"character sumset needs more than {_SUMSET_BUDGET} sums"
             )

@@ -1,15 +1,17 @@
-"""Exact integer-lattice linear algebra.
+"""Exact integer-lattice linear algebra on one normal form.
 
 Matrices are tuples of row tuples of Python ints, so every normal form is
-computed in arbitrary precision.  Lattices are stored through their unique
-row-style Hermite basis, which makes equality and membership canonical.
+computed in arbitrary precision.  The row-style Hermite form is the only
+elimination: lattices are stored through their unique Hermite basis, which
+makes equality and membership canonical; kernels are read off the Hermite
+form of [A^T | I]; saturation is the kernel of the kernel; and the Smith
+invariant factors come from alternating row and column Hermite forms.  No
+unimodular transform is ever built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from .errors import DimensionError, InvalidArgumentError
 from .ring_core import Grading
@@ -57,10 +59,6 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def hermite_normal_form(M) -> Matrix:
     """Row-style Hermite normal form with zero rows dropped.
 
@@ -70,32 +68,24 @@ def hermite_normal_form(M) -> Matrix:
     """
     A = [list(r) for r in as_matrix(M)]
     m = len(A)
-    n = len(A[0]) if m else 0
     r = 0
-    for c in range(n):
-        while True:
-            nonzero = [i for i in range(r, m) if A[i][c] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: (abs(A[i][c]), i))
-            if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
-            done = True
-            for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                    if A[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if all(A[i][c] == 0 for i in range(r, m)):
+    for c in range(len(A[0]) if m else 0):
+        rows = [i for i in range(r, m) if A[i][c]]
+        if not rows:
             continue
+        # Euclid down the column: reduce by the least entry until one is left
+        while len(rows) > 1:
+            p = min(rows, key=lambda i: abs(A[i][c]))
+            for i in rows:
+                if i != p:
+                    q = A[i][c] // A[p][c]
+                    A[i] = [x - q * y for x, y in zip(A[i], A[p])]
+            rows = [i for i in rows if A[i][c]]
+        A[r], A[rows[0]] = A[rows[0]], A[r]
         if A[r][c] < 0:
             A[r] = [-x for x in A[r]]
-        p = A[r][c]
         for i in range(r):
-            q = A[i][c] // p
+            q = A[i][c] // A[r][c]
             if q:
                 A[i] = [x - q * y for x, y in zip(A[i], A[r])]
         r += 1
@@ -104,150 +94,44 @@ def hermite_normal_form(M) -> Matrix:
     return tuple(tuple(row) for row in A[:r])
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """U * M * V = S with U, V unimodular and S diagonal, f_1 | f_2 | ..."""
+def smith_invariants(M) -> tuple[int, ...]:
+    """The nonzero invariant factors f_1 | f_2 | ... of M.
 
-    U: Matrix
-    S: Matrix
-    V: Matrix
+    Alternate row and column Hermite forms, H <- hermite_normal_form(H^T),
+    until H is diagonal, then turn the diagonal into a divisor chain by
+    gcd/lcm exchange (diag(a, b) and diag(gcd, lcm) are equivalent).
 
-    @property
-    def invariants(self) -> tuple[int, ...]:
-        d = min(len(self.S), len(self.S[0]) if self.S else 0)
-        return tuple(self.S[i][i] for i in range(d) if self.S[i][i] != 0)
-
-
-def _smith(M):
-    """Core SNF: returns (U, S, V, Vinv) as lists of lists."""
-    A = [list(r) for r in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-    W = _identity(n)  # W = V^{-1}, maintained by inverse column ops
-
-    def col_sub(j, q, t):
-        # col_j -= q * col_t on A and V; inverse op on W: row_t += q * row_j
-        for i in range(m):
-            A[i][j] -= q * A[i][t]
-        for i in range(n):
-            V[i][j] -= q * V[i][t]
-        W[t] = [x + q * y for x, y in zip(W[t], W[j])]
-
-    def col_swap(j, t):
-        for i in range(m):
-            A[i][j], A[i][t] = A[i][t], A[i][j]
-        for i in range(n):
-            V[i][j], V[i][t] = V[i][t], V[i][j]
-        W[j], W[t] = W[t], W[j]
-
-    t = 0
-    while t < min(m, n):
-        pivots = [
-            (abs(A[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if A[i][j] != 0
-        ]
-        if not pivots:
-            break
-        _, pi, pj = min(pivots)
-        if pi != t:
-            A[pi], A[t] = A[t], A[pi]
-            U[pi], U[t] = U[t], U[pi]
-        if pj != t:
-            col_swap(pj, t)
-        while True:
-            # clear column t
-            again = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                    if A[i][t] != 0:
-                        # remainder is smaller than the pivot; promote it
-                        A[i], A[t] = A[t], A[i]
-                        U[i], U[t] = U[t], U[i]
-                        again = True
-            if again:
-                continue
-            # clear row t
-            again = False
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_sub(j, q, t)
-                    if A[t][j] != 0:
-                        col_swap(j, t)
-                        again = True
-            if again:
-                continue
-            # divisibility repair: pivot must divide the rest of the submatrix
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[bad])]
-            U[t] = [x + y for x, y in zip(U[t], U[bad])]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return U, A, V, W
-
-
-def smith_normal_form(M) -> SmithForm:
-    """Smith normal form with unimodular transforms."""
-    M = as_matrix(M)
-    U, S, V, _ = _smith(M)
-    return SmithForm(
-        tuple(tuple(r) for r in U),
-        tuple(tuple(r) for r in S),
-        tuple(tuple(r) for r in V),
-    )
-
-
-def det(M) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    A = [list(r) for r in as_matrix(M)]
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise DimensionError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1] if n else 1
+    Termination: let h be the leading pivot of a row Hermite form H.  The
+    next form's leading pivot is g = gcd(row 0 of H), since that row is the
+    first column of H^T, so g | h.  If g = h, every entry of row 0 is a
+    multiple of h, and column c of H, c the pivot column of row 0, is
+    (h, 0, ..., 0).  As row c of H^T it is the first row to reach |h| in the
+    leading column, so it becomes the pivot, the other rows lose exact
+    multiples of it, and (h) splits off as a diagonal block that later
+    forms keep.  So each round that leaves an off-diagonal entry either
+    lowers the leading pivot of the unsplit block to a proper divisor or
+    splits off a block, and there are at most rank M splits.
+    """
+    H = hermite_normal_form(M)
+    while any(x for i, row in enumerate(H) for j, x in enumerate(row) if i != j):
+        H = hermite_normal_form(tuple(zip(*H)))
+    f = [H[i][i] for i in range(len(H))]
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            g = gcd(f[i], f[j])
+            f[i], f[j] = g, f[i] * f[j] // g
+    return tuple(f)
 
 
 class Lattice:
     """A subgroup of Z^s given by its canonical Hermite basis."""
 
-    __slots__ = ("ambient_dim", "basis", "_smith_invariants")
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, generators):
         gens = as_matrix(generators, cols=ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", hermite_normal_form(gens) if gens else ())
-        object.__setattr__(self, "_smith_invariants", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -258,10 +142,7 @@ class Lattice:
 
     @property
     def smith_invariants(self) -> tuple[int, ...]:
-        if self._smith_invariants is None:
-            inv = smith_normal_form(self.basis).invariants if self.basis else ()
-            object.__setattr__(self, "_smith_invariants", inv)
-        return self._smith_invariants
+        return smith_invariants(self.basis)
 
     def contains(self, v) -> bool:
         """Membership test against the Hermite basis."""
@@ -291,7 +172,7 @@ class Lattice:
 
 def torsion_order(L: Lattice) -> int:
     """|T(Z^s / L)| = product of the nonzero Smith invariant factors."""
-    return reduce(lambda a, b: a * b, L.smith_invariants, 1)
+    return prod(L.smith_invariants)
 
 
 def is_homogeneous(L: Lattice, d: Grading) -> bool:
@@ -312,23 +193,25 @@ def homogenize_lattice(L: Lattice, d: Grading) -> Lattice:
 
 
 def saturate_lattice(L: Lattice) -> Lattice:
-    """(L tensor Q) intersected with Z^s, via SNF by clearing invariant factors."""
+    """(L tensor Q) intersected with Z^s: the kernel of the kernel of L's
+    basis, where the kernel of a full-rank L is the zero row."""
     if not L.basis:
         return L
-    _, S, _, W = _smith(L.basis)
-    r = sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i] != 0)
-    # row lattice of basis = row lattice of S * V^{-1}; clearing the factors
-    # leaves the first r rows of V^{-1}
-    return Lattice(L.ambient_dim, [tuple(W[i]) for i in range(r)])
+    return kernel_lattice(kernel_lattice(L.basis).basis or [(0,) * L.ambient_dim])
 
 
 def kernel_lattice(A) -> Lattice:
-    """ker_Z(A) = {x : A x = 0}; always saturated."""
+    """ker_Z(A) = {y : A y = 0}; always saturated.
+
+    The rows of [A^T | I_n] span {(A y, y) : y in Z^n}, and the rows of its
+    Hermite form whose A^T part is zero are a basis of the pairs with A y = 0.
+    """
     A = as_matrix(A)
     if not A:
         raise InvalidArgumentError("kernel of an empty matrix is ambiguous")
-    n = len(A[0])
-    _, S, V, _ = _smith(A)
-    r = sum(1 for i in range(min(len(S), n)) if S[i][i] != 0)
-    cols = [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
-    return Lattice(n, cols)
+    m, n = len(A), len(A[0])
+    cols = [tuple(r[j] for r in A) for j in range(n)]
+    H = hermite_normal_form(
+        [c + tuple(int(i == j) for i in range(n)) for j, c in enumerate(cols)]
+    )
+    return Lattice(n, [row[m:] for row in H if not any(row[:m])])

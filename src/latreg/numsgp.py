@@ -32,27 +32,29 @@ class NumericalSemigroup:
 
 
 def _least_per_residue(gens, m):
-    """dist[r] = least element of the monoid congruent to r mod m.
+    """dist[r] = least element of the monoid congruent to r mod m, or None.
 
-    Round-robin label correction on the cyclic graph of residues; exact and
-    fast at desk scale.
+    Round robin of Boecker and Liptak: add one generator g at a time.  The
+    residues split into gcd(g, m) cycles r, r + g, r + 2g, ... mod m; walk
+    each cycle once, from its least known value, relaxing dist[r + g] by
+    dist[r] + g.  Nothing in a cycle lies below its start, so one walk
+    finishes it, and the whole table costs O(m) per generator.
     """
-    INF = None
-    dist = [INF] * m
+    dist = [None] * m
     dist[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for r in range(m):
-            dr = dist[r]
-            if dr is None:
+    for g in gens:
+        d = gcd(g, m)
+        for p in range(d):
+            known = [r for r in range(p, m, d) if dist[r] is not None]
+            if not known:
                 continue
-            for g in gens:
-                nd = dr + g
-                nr = nd % m
-                if dist[nr] is None or nd < dist[nr]:
-                    dist[nr] = nd
-                    changed = True
+            r = min(known, key=dist.__getitem__)
+            cur = dist[r]
+            for _ in range(m // d - 1):
+                r = (r + g) % m
+                if dist[r] is None or cur + g < dist[r]:
+                    dist[r] = cur + g
+                cur = dist[r]
     return dist
 
 

@@ -7,9 +7,32 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from latreg.errors import InvalidArgumentError
-from latreg.intlat import Lattice, det, kernel_lattice
+from latreg.errors import DimensionError, InvalidArgumentError
+from latreg.intlat import Lattice, as_matrix, kernel_lattice
 from latreg.ring_core import Binomial, Grading
+
+
+def det(M) -> int:
+    """Exact integer determinant (fraction-free Gaussian elimination)."""
+    A = [list(r) for r in as_matrix(M)]
+    n = len(A)
+    if any(len(r) != n for r in A):
+        raise DimensionError("determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1] if n else 1
 
 
 def random_homogeneous_lattice(rng: random.Random, s=None, max_weight=4, max_mix=2):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -125,6 +126,16 @@ def test_vanish_sumset_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "vanish", "--q", q, "--torus", "1,2")
     assert (code, out) == (1, "")
     assert err.startswith("budget-exceeded:")
+
+
+def test_vanish_sumset_budget_fails_before_search(capsys):
+    # a step difference of order ~q already makes |X| |U| exceed the budget,
+    # so the answer comes before any sum is formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "vanish", "--q", str(2**127 - 1), "--torus", "1,2")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err == "budget-exceeded: character sumset needs more than 4000000 sums\n"
 
 
 def test_graph_reg(tmp_path, capsys):

@@ -42,6 +42,15 @@ def test_sylvester_exhaustive():
                 assert frobenius_number(NumericalSemigroup((a, b))) == a * b - a - b
 
 
+def test_sylvester_large_coprime_pairs():
+    # one round-robin pass per generator: moduli in the tens of thousands
+    # answer at once
+    for a, b in [(4000, 7999), (20000, 39999), (9973, 10007), (2, 40001)]:
+        assert frobenius_number(NumericalSemigroup((a, b))) == a * b - a - b
+    gens = (50, 71, 99)
+    assert frobenius_number(NumericalSemigroup(gens)) == frobenius_oracle(gens)
+
+
 def test_apery_examples():
     assert apery_set(NumericalSemigroup((2, 3)), 2) == [0, 3]
     assert apery_set(NumericalSemigroup((1,)), 1) == [0]

@@ -1,9 +1,14 @@
 """Property tests on random small inputs (skipped without ``hypothesis``)."""
 
+from math import lcm
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from helpers import naive_point_rank, saturated_lattice_vanishing_ideal  # noqa: E402
 from latreg.binomial_gb import vanishing_ideal_finite_field  # noqa: E402
@@ -12,6 +17,12 @@ from latreg.ffvanish import (  # noqa: E402
     degenerate_torus_vectors,
     enumerate_parameterized,
     parameterized_hilbert_table,
+)
+from latreg.intlat import (  # noqa: E402
+    Lattice,
+    kernel_lattice,
+    saturate_lattice,
+    smith_invariants,
 )
 from latreg.invariants import TorusSpec, degenerate_torus_invariants  # noqa: E402
 
@@ -58,3 +69,43 @@ def test_character_search_matches_evaluation_rank(case):
     table = parameterized_hilbert_table(X.field, vs)
     reg = len(table) - 1
     assert [naive_point_rank(X.points, q, d) for d in range(reg + 2)] == table + [len(X)]
+
+
+@st.composite
+def _integer_matrices(draw):
+    # dense, or a product of thinner factors, which makes it rank-deficient
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-1000, 1000)
+    k = draw(st.integers(1, 8))
+    if k >= min(m, n):
+        row = st.lists(entry, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=m, max_size=m))
+    small = st.integers(-10, 10)
+    B = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=m, max_size=m))
+    C = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(b * c for b, c in zip(row, col)) for col in zip(*C)] for row in B]
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(_integer_matrices())
+def test_integer_normal_forms_match_sympy(A):
+    # the kernel against sympy's rational null space: it holds every cleared
+    # null vector, has the same rank, and Z^n / K is torsion-free, so K is
+    # the null space intersected with Z^n
+    n = len(A[0])
+    M = sympy.Matrix(A)
+    K = kernel_lattice(A)
+    null = M.nullspace()
+    assert K.rank == len(null)
+    for v in null:
+        den = lcm(*(int(x.q) for x in v))
+        assert K.contains([int(x * den) for x in v])
+    if K.basis:
+        assert set(invariant_factors(sympy.Matrix(K.basis))) == {1}
+    want = tuple(int(x) for x in invariant_factors(M) if x != 0)
+    assert smith_invariants(A) == want
+    L = Lattice(n, A)
+    S = saturate_lattice(L)
+    assert saturate_lattice(S) == S
+    assert S.rank == L.rank
+    assert all(S.contains(row) for row in L.basis)
