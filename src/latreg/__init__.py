@@ -67,7 +67,6 @@ from .intlat import (
     torsion_order,
 )
 from .invariants import (
-    CurveSpec,
     TorusSpec,
     additive_regularity,
     curve_spec,

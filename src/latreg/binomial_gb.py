@@ -76,10 +76,6 @@ class GroebnerBasis:
     num_vars: int
     elements: tuple[Binomial, ...]
 
-    @property
-    def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g.plus for g in self.elements)
-
 
 # ---------------------------------------------------------------------------
 # engine internals: elements are (lead, tail) with tail None for monomials.
@@ -302,7 +298,7 @@ def normal_form(f: Binomial, G: GroebnerBasis) -> Binomial | None:
 
 def initial_ideal(G: GroebnerBasis) -> tuple[tuple[int, ...], ...]:
     """Minimal monomial generators of in(I): the leading exponents of G."""
-    return G.leading_exponents
+    return tuple(g.plus for g in G.elements)
 
 
 def ideal_equal(I: BinomialIdeal, J: BinomialIdeal, order: MonomialOrder) -> bool:

@@ -21,6 +21,7 @@ from .binomial_gb import (
 from .errors import LatregError, ParseError
 from .ffvanish import (
     PrimeField,
+    _parameterization,
     degenerate_torus_vectors,
     parameterized_hilbert_table,
 )
@@ -36,6 +37,7 @@ from .hilbert import (
     a_invariant,
     hilbert_table,
     ideal_hilbert,
+    monomial_hilbert,
     poly_str,
     reg_cm,
 )
@@ -218,8 +220,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_mcurve(args):
-    spec = curve_spec(tuple(args.exponents))
-    reg, deg = mcurve_regularity(spec), mcurve_degree(spec)
+    d = curve_spec(tuple(args.exponents))
+    reg, deg = mcurve_regularity(d), mcurve_degree(d)
     _emit(args, {"reg": reg, "deg": deg}, [f"reg={reg} deg={deg}"])
 
 
@@ -250,10 +252,20 @@ def _cmd_vanish(args):
             vs = [tuple(map(_json_int, v)) for v in raw]
         except (ValueError, TypeError) as e:
             raise ParseError(f"bad monomial list: {e}") from e
-    # H(0..reg); the last value is |X|, and H(reg + 1) repeats it
-    table = parameterized_hilbert_table(field, vs)
-    reg, size = len(table) - 1, table[-1]
-    table.append(size)
+    if args.ideal:
+        # |X|, H and reg off the Hilbert series of in(I(X)): the ideal can be
+        # cheap where the character search is over budget
+        I = vanishing_ideal_finite_field(_parameterization(field, vs), args.q)
+        s = I.num_vars
+        F = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
+        reg = reg_cm(F, s - 1)
+        table = F.expand(reg + 1)
+    else:
+        # H(0..reg); the last value is |X|, and H(reg + 1) repeats it
+        table = parameterized_hilbert_table(field, vs)
+        reg = len(table) - 1
+        table.append(table[-1])
+    size = table[-1]
     lines = [
         f"|X|={size}",
         "H(0..{}): {}".format(len(table) - 1, " ".join(map(str, table))),
@@ -261,7 +273,6 @@ def _cmd_vanish(args):
     ]
     obj = {"size": size, "H": table, "reg": reg}
     if args.ideal:
-        I = vanishing_ideal_finite_field(vs, args.q)
         basis = [render_binomial(b) for b in I.gens]
         obj["ideal"] = basis
         lines += ["ideal:"] + ["  " + b for b in basis]
@@ -340,7 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--torus", help="comma-separated degenerate torus type")
     p.add_argument("--monomials", help="JSON list of exponent vectors")
-    p.add_argument("--ideal", action="store_true", help="also print I(X)")
+    p.add_argument(
+        "--ideal",
+        action="store_true",
+        help="also print I(X), and read |X|, H and reg off its Hilbert series",
+    )
     p.set_defaults(func=_cmd_vanish)
 
     p = sub.add_parser("graph-reg", help="regularity of an edge point set")

@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedFieldError,
 )
-from .intlat import is_prime
+from .intlat import Lattice, is_prime
 from .ring_core import exponent_vectors, standard_grading
 
 
@@ -145,9 +145,11 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     2^k > 2(p-1) - 1: a coordinate sum stays below 2^k, and after adding
     2^k - (p-1) its guard bit 2^k is set exactly when the sum needs p-1
     subtracted.  The search forms exactly |X| |U| sums, and |X| is at least
-    the order lcm_j (p-1)/gcd(u_j, p-1) of any u in U.  Raises
-    BudgetExceededError before the first layer when that order times |U|
-    passes _SUMSET_BUDGET, and otherwise once the sums formed would.
+    the order lcm_j (p-1)/gcd(u_j, p-1) of any u in U.  A sum of packed
+    characters costs one step per 64-bit word, w = ceil((k+1) n / 64) of
+    them, so the budget is charged w per sum: BudgetExceededError is raised
+    before the first layer when w times that order times |U| passes
+    _SUMSET_BUDGET, and otherwise once w times the sums formed would.
     """
     vs = _parameterization(field, vs)
     m = field.p - 1
@@ -159,13 +161,14 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     diffs = {tuple((a - b) % m for a, b in zip(w, w0)) for w in vs} - {(0,) * len(w0)}
     U = {sum(x << f for x, f in zip(u, shifts)) for u in diffs}
     order = max((lcm(*(m // gcd(x, m) for x in u)) for u in diffs), default=1)
+    words = -(-(k + 1) * len(w0) // 64)
     seen = {0}
     frontier = [0]
     table = [1]
     formed = 0
     while True:
         formed += len(frontier) * len(U)
-        if max(formed, order * len(U)) > _SUMSET_BUDGET:
+        if max(formed, order * len(U)) * words > _SUMSET_BUDGET:
             raise BudgetExceededError(
                 f"character sumset needs more than {_SUMSET_BUDGET} sums"
             )
@@ -273,24 +276,19 @@ def regularity_points(X: PointSet) -> int:
             raise InternalError("evaluation rank failed to reach |X|")
 
 
-def _mul_points(field, a, b):
-    return normalize_point(field, tuple(x * y for x, y in zip(a, b)))
-
-
 def is_subgroup_of_torus(X: PointSet) -> bool:
     """True iff all coordinates are nonzero and X is closed under
-    componentwise products and inverses (on normalized representatives)."""
+    componentwise products (on normalized representatives): a finite
+    nonempty subset of a group closed under products is a subgroup."""
     if any(x == 0 for pt in X.points for x in pt):
         return False
     pts = set(X.points)
     f = X.field
-    for a in pts:
-        if normalize_point(f, tuple(f.inv(x) for x in a)) not in pts:
-            return False
-        for b in pts:
-            if _mul_points(f, a, b) not in pts:
-                return False
-    return True
+    return all(
+        normalize_point(f, tuple(x * y for x, y in zip(a, b))) in pts
+        for a in pts
+        for b in pts
+    )
 
 
 def _primitive_root(p: int) -> int:
@@ -312,38 +310,30 @@ def _primitive_root(p: int) -> int:
 
 
 def subgroup_to_monomials(X: PointSet) -> list[tuple[int, ...]]:
-    """Exponent vectors parameterizing the subgroup X.
+    """Exponent vectors parameterizing the subgroup X, read off one Hermite
+    basis: at most max(1, s-1) parameters, and canonical for X.
 
-    Greedy generator search, then discrete logs base a fixed primitive root;
-    the only promise is the round trip: enumerate_parameterized over the
-    result reproduces X exactly.  Zero logs are encoded as p-1 (same value,
-    keeps every vector nonzero).
+    A normalized point of X is (b^{l_1}, ..., b^{l_n}, 1), n = s-1, for the
+    least primitive root b, so the log vectors l and (p-1) Z^n span a
+    lattice L with L / (p-1) Z^n = X.  For the rows h_1, ..., h_r of L's
+    Hermite basis that are not 0 mod p-1, set v_i = (h_1[i], ..., h_r[i])
+    for i <= n and v_s = 0: then y_j = b^{c_j} gives the point with logs
+    sum_j c_j h_j, and these run over all of L mod p-1.  A zero entry is
+    written p-1 (the same value on units, and it keeps every vector
+    nonzero); the trivial group gets one parameter.
     """
     if not is_subgroup_of_torus(X):
         raise InvalidArgumentError("point set is not a subgroup of the torus")
-    f = X.field
-    p = f.p
+    p = X.field.p
     beta = _primitive_root(p)
     log = {pow(beta, k, p): k for k in range(p - 1)}
-    identity = normalize_point(f, (1,) * X.num_coords)
-    closure = {identity}
-    gens: list[tuple[int, ...]] = []
-    for alpha in X.points:
-        if alpha in closure:
-            continue
-        gens.append(alpha)
-        frontier = set(closure)
-        cur = alpha
-        while cur not in closure:
-            frontier.update(_mul_points(f, cur, h) for h in closure)
-            cur = _mul_points(f, cur, alpha)
-        closure = frontier
-    if not gens:
-        gens = [identity]
-    return [
-        tuple(log[g[i]] if log[g[i]] != 0 else p - 1 for g in gens)
-        for i in range(X.num_coords)
-    ]
+    n = X.num_coords - 1
+    logs = [tuple(log[x] for x in pt[:n]) for pt in X.points]
+    torus = [tuple(p - 1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [h for h in Lattice(n, logs + torus).basis if any(x % (p - 1) for x in h)]
+    rows = rows or [(0,) * n]
+    vs = [tuple(h[i] or p - 1 for h in rows) for i in range(n)]
+    return vs + [(p - 1,) * len(rows)]
 
 
 def check_vanishing(I: BinomialIdeal, X: PointSet) -> bool:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .binomial_gb import BinomialIdeal, buchberger, initial_ideal
 from .errors import (
+    BudgetExceededError,
     DimensionError,
     InvalidArgumentError,
     NeedsLongerTableError,
@@ -45,15 +46,6 @@ def poly_add(p, q) -> Poly:
         out[i] += a
     for i, b in enumerate(q):
         out[i] += b
-    return _trim(out)
-
-
-def poly_sub(p, q) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
     return _trim(out)
 
 
@@ -176,17 +168,30 @@ def _minimalize(gens):
     return tuple(out)
 
 
+# degree of lcm(M) above which monomial_hilbert gives up: its polynomials
+# are dense.  For I(X) of a parameterized set, deg lcm(in I(X)) is at most
+# |X| |U| + s, so every set the character search answers stays below it
+_NUMERATOR_BUDGET = 10_000_000
+
+
 def monomial_hilbert(gens, d: Grading) -> HilbertSeries:
     """Hilbert series of S/M for a monomial ideal M.
 
     Pivot recursion N(M) = N(M + (p)) + t^deg(p) N(M : p) on a pure power
     p = x_i^e, with x_i the variable in the most generators and e the median
-    of its positive exponents (Bigatti's pivot).
+    of its positive exponents (Bigatti's pivot).  Every ideal met is
+    generated by divisors of lcm(M), so no polynomial formed has degree
+    above deg lcm(M); raises BudgetExceededError when that passes
+    _NUMERATOR_BUDGET.
     """
     gens = _minimalize(tuple(tuple(int(x) for x in g) for g in gens))
     for g in gens:
         if len(g) != d.num_vars:
             raise DimensionError("monomial length does not match grading")
+    if gens and weighted_degree(tuple(map(max, zip(*gens))), d) > _NUMERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"Hilbert numerator needs more than {_NUMERATOR_BUDGET} coefficients"
+        )
     return HilbertSeries(_numerator(gens, d), d)
 
 
@@ -199,7 +204,7 @@ def _numerator(gens, d):
     if _pairwise_disjoint(gens):
         out = (1,)
         for g in gens:
-            out = poly_mul(out, poly_sub((1,), poly_shift((1,), weighted_degree(g, d))))
+            out = poly_mul(out, _one_minus_power(weighted_degree(g, d)))
         return out
     # x_i lies in two or more generators.  p = x_i^e is not in M: only a
     # pure power x_i^f with f <= e could divide it, but minimality makes f

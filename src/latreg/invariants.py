@@ -22,43 +22,25 @@ from .ring_core import Grading
 _PRIME_SCAN_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """The monomial curve t_i |-> y^{d_i}: exponents, their gcd r, and the
-    numerical semigroup generated by d_i / r."""
-
-    weights: Grading
-
-    @property
-    def r(self) -> int:
-        return self.weights.r
-
-    @property
-    def reduced_semigroup(self) -> NumericalSemigroup:
-        r = self.r
-        return NumericalSemigroup(tuple(d // r for d in self.weights.weights))
+def curve_spec(exponents) -> Grading:
+    """The monomial curve t_i |-> y^{d_i}, given by its exponents d_i."""
+    return Grading(tuple(int(d) for d in exponents))
 
 
-def curve_spec(exponents) -> CurveSpec:
-    return CurveSpec(Grading(tuple(int(d) for d in exponents)))
-
-
-def mcurve_regularity(spec: CurveSpec) -> int:
+def mcurve_regularity(d: Grading) -> int:
     """reg of the homogenized monomial-curve ideal:
-    r * g(S) + 1 + sum (d_i - 1)."""
-    d = spec.weights
+    r * g(S) + 1 + sum (d_i - 1), S generated by the d_i / r, r = gcd d_i."""
     if d.num_vars < 2:
         raise InvalidArgumentError("monomial curve needs at least two exponents")
-    g = frobenius_number(spec.reduced_semigroup)
-    return spec.r * g + 1 + sum(w - 1 for w in d.weights)
+    S, r = NumericalSemigroup(d.weights).reduced()
+    return r * frobenius_number(S) + 1 + sum(w - 1 for w in d.weights)
 
 
-def mcurve_degree(spec: CurveSpec) -> int:
+def mcurve_degree(d: Grading) -> int:
     """deg of the homogenized monomial-curve ideal: d_1 ... d_s / r."""
-    d = spec.weights
     if d.num_vars < 2:
         raise InvalidArgumentError("monomial curve needs at least two exponents")
-    return prod(d.weights) // spec.r
+    return prod(d.weights) // d.r
 
 
 def degree_transfer(d: Grading, deg_weighted: int) -> int:
@@ -106,8 +88,8 @@ class TorusSpec:
 def degenerate_torus_invariants(spec: TorusSpec) -> TorusInvariants:
     """Regularity and degree of the vanishing ideal of a degenerate torus,
     via the monomial-curve formulas on the derived exponents."""
-    curve = CurveSpec(spec.derived_weights)
-    return TorusInvariants(mcurve_regularity(curve), mcurve_degree(curve))
+    d = spec.derived_weights
+    return TorusInvariants(mcurve_regularity(d), mcurve_degree(d))
 
 
 def prescribe_regularity(d: Grading) -> TorusSpec:

@@ -128,10 +128,6 @@ class Binomial:
             tuple(m - c for m, c in zip(self.minus, common)),
         )
 
-    def vector(self):
-        """plus - minus as a signed integer vector."""
-        return tuple(p - m for p, m in zip(self.plus, self.minus))
-
     def is_homogeneous(self, d: Grading) -> bool:
         return weighted_degree(self.plus, d) == weighted_degree(self.minus, d)
 

@@ -1,4 +1,8 @@
 import json
+import math
+import pathlib
+import re
+import shlex
 import time
 
 import pytest
@@ -106,6 +110,8 @@ def test_vanish(capsys):
         (["--q", "3", "--monomials", "[[1],[1,2]]"], "invalid-argument"),
         (["--q", "3", "--torus", "0,2"], "invalid-argument"),
         (["--q", "3", "--torus", "0,2", "--ideal"], "invalid-argument"),
+        (["--q", "2", "--monomials", "[[1],[2]]", "--ideal"], "unsupported-field"),
+        (["--q", str(2**127 - 1), "--torus", "1,2", "--ideal"], "budget-exceeded"),
     ],
 )
 def test_vanish_domain_errors(capsys, argv, name):
@@ -136,6 +142,45 @@ def test_vanish_sumset_budget_fails_before_search(capsys):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (1, "")
     assert err == "budget-exceeded: character sumset needs more than 4000000 sums\n"
+
+
+def test_vanish_ideal_reads_series_past_sumset_budget(capsys):
+    # |X| = 10^10 is far over the character budget, but I(X) is the torus
+    # ideal (t_i^100 - t_6^100), whose Hilbert series gives H, |X| and reg
+    vs = (
+        "[[1,25,43,36,51,20],[42,40,27,3,47,19],[8,13,56,3,19,4],"
+        "[54,4,19,58,60,19],[47,10,26,36,16,8],[0,35,56,54,2,37]]"
+    )
+    start = time.perf_counter()
+    argv = ["--json", "vanish", "--q", "101", "--monomials", vs, "--ideal"]
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["size"], obj["reg"]) == (10**10, 495)
+    assert obj["ideal"] == [f"t{i}^100 - t6^100" for i in range(5, 0, -1)]
+    # five forms of degree 100 in six variables: a complete intersection
+    assert obj["H"] == [
+        sum(
+            (-1) ** j * math.comb(5, j) * math.comb(d - 100 * j + 5, 5)
+            for j in range(d // 100 + 1)
+        )
+        for d in range(497)
+    ]
+
+
+def test_readme_cli_examples(capsys):
+    # every `latreg ... # -> output` line of the README's CLI block
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    examples = re.findall(r"^latreg (.+?)\s+# -> (.+)$", readme.read_text(), re.M)
+    assert {shlex.split(cmd)[0] for cmd, _ in examples} >= {
+        "frobenius",
+        "mcurve",
+        "torus",
+        "prescribe",
+    }
+    for cmd, want in examples:
+        assert run(capsys, *shlex.split(cmd)) == (0, want + "\n", ""), cmd
 
 
 def test_graph_reg(tmp_path, capsys):

@@ -122,6 +122,19 @@ def test_parameterized_hilbert_table_examples():
     assert parameterized_hilbert_table(F3, cyc) == [1, 4]
 
 
+def test_sumset_budget_charged_per_word(monkeypatch):
+    # over F_3 a coordinate packs into 3 bits, so 21 coordinates fill one
+    # 64-bit word and 22 need two; X has two points and |U| = 1, so the
+    # search forms 2 sums, each charged once per word
+    for n, words in ((21, 1), (22, 2)):
+        vs = [(1,) * n, (2,) * n]
+        monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 2 * words)
+        assert parameterized_hilbert_table(F3, vs) == [1, 2]
+        monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 2 * words - 1)
+        with pytest.raises(BudgetExceededError):
+            parameterized_hilbert_table(F3, vs)
+
+
 def test_parameterized_checks_match_enumeration():
     common = "need exponent vectors of one common length"
     signs = "exponent vectors must be nonzero and nonnegative"
@@ -188,12 +201,32 @@ def test_subgroup_to_monomials_round_trip():
         enumerate_degenerate_torus(F7, (2, 3)),
         enumerate_parameterized(F7, [(1, 2), (2, 1), (1, 1)]),
     ]
+    rng = random.Random(10)
+    while len(cases) < 65:
+        field = PrimeField(rng.choice([3, 5, 7, 11, 13]))
+        s, k = rng.randint(1, 4), rng.randint(1, 3)
+        vs = [tuple(rng.randint(0, 2 * field.p) for _ in range(k)) for _ in range(s)]
+        if (field.p - 1) ** k <= 150 and all(any(v) for v in vs):
+            cases.append(enumerate_parameterized(field, vs))
     for X in cases:
         vs = subgroup_to_monomials(X)
         assert all(any(e for e in v) for v in vs)
+        assert len(vs[0]) <= max(1, X.num_coords - 1)
         assert enumerate_parameterized(X.field, vs).points == X.points
     with pytest.raises(InvalidArgumentError):
         subgroup_to_monomials(point_set(F5, [(1, 1), (2, 1)]))
+
+
+def test_subgroup_to_monomials_reads_hermite_basis():
+    # the full torus of P^2 over F_7 is generated by the two coordinate
+    # lines; the trivial group gets one parameter
+    assert subgroup_to_monomials(enumerate_degenerate_torus(F7, (1, 1, 1))) == [
+        (1, 6),
+        (6, 1),
+        (6, 6),
+    ]
+    assert subgroup_to_monomials(point_set(F7, [(1, 1, 1)])) == [(6,), (6,), (6,)]
+    assert subgroup_to_monomials(point_set(F7, [(3,)])) == [(6,)]
 
 
 def test_check_vanishing_examples():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -166,6 +167,16 @@ def test_edge_regularity_budget(monkeypatch):
     monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 6**4 * 5 - 1)
     with pytest.raises(BudgetExceededError):
         edge_regularity(C6, F7)
+
+
+def test_edge_regularity_budget_on_long_path():
+    # characters of a 1,000-vertex path over F_3 span 3,000 bits, 47 words a
+    # sum; charged per word, the search gives up within a few layers
+    P = graph(1000, [(i, i + 1) for i in range(1, 1000)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        edge_regularity(P, F3)
+    assert time.perf_counter() - start < 4.0
 
 
 def test_block_additivity_random_suite():
