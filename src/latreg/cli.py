@@ -13,17 +13,13 @@ import os
 import sys
 
 from . import __version__
-from .binomial_gb import (
-    BinomialIdeal,
-    buchberger,
-    vanishing_ideal_finite_field,
-)
+from .binomial_gb import BinomialIdeal, buchberger
 from .errors import LatregError, ParseError
 from .ffvanish import (
     PrimeField,
-    _parameterization,
     degenerate_torus_vectors,
     parameterized_hilbert_table,
+    vanishing_ideal_series,
 )
 from .graphblocks import (
     Graph,
@@ -37,7 +33,6 @@ from .hilbert import (
     a_invariant,
     hilbert_table,
     ideal_hilbert,
-    monomial_hilbert,
     poly_str,
     reg_cm,
 )
@@ -255,10 +250,7 @@ def _cmd_vanish(args):
     if args.ideal:
         # |X|, H and reg off the Hilbert series of in(I(X)): the ideal can be
         # cheap where the character search is over budget
-        I = vanishing_ideal_finite_field(_parameterization(field, vs), args.q)
-        s = I.num_vars
-        F = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
-        reg = reg_cm(F, s - 1)
+        I, F, reg = vanishing_ideal_series(field, vs)
         table = F.expand(reg + 1)
     else:
         # H(0..reg); the last value is |X|, and H(reg + 1) repeats it

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .binomial_gb import BinomialIdeal
+from .binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -30,6 +30,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedFieldError,
 )
+from .hilbert import HilbertSeries, monomial_hilbert, reg_cm
 from .intlat import Lattice, is_prime
 from .ring_core import exponent_vectors, standard_grading
 
@@ -184,6 +185,37 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
             return table
         frontier = layer
         table.append(len(seen))
+
+
+# (s-1)(p-1) above which vanishing_ideal_series gives up.  On a curve with
+# distinct steps (n = 1, |X| = p-1, |U| = s-1) the character search forms
+# the same number of sums, so both routes give up on the same curves
+_DEGREE_BUDGET = 4_000_000
+
+
+def vanishing_ideal_series(
+    field: PrimeField, vs
+) -> tuple[BinomialIdeal, HilbertSeries, int]:
+    """I(X), the Hilbert series of S/in(I(X)), and reg S/I(X) for X
+    parameterized by y^{v_1}, ..., y^{v_s}.
+
+    S/I(X) is Cohen-Macaulay of dimension 1 with the Hilbert series of
+    S/in(I(X)), so reg is read off that series and no character is counted.
+    t_i^{p-1} - t_s^{p-1} lies in I(X) and t_s divides no lead of its basis,
+    so deg lcm(in I(X)) <= (s-1)(p-1), which bounds the numerator and reg.
+    The work grows with it too: the seeds t_i^{p-1} - t_s^{p-1} are reduced
+    one division step at a time.  BudgetExceededError is raised before the
+    ideal is built when (s-1)(p-1) passes _DEGREE_BUDGET.
+    """
+    vs = _parameterization(field, vs)
+    s = len(vs)
+    if (s - 1) * (field.p - 1) > _DEGREE_BUDGET:
+        raise BudgetExceededError(
+            f"vanishing ideal degree bound (s-1)(q-1) passes {_DEGREE_BUDGET}"
+        )
+    I = vanishing_ideal_finite_field(vs, field.p)
+    F = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
+    return I, F, reg_cm(F, s - 1)
 
 
 def _prod_mod(factors, p):

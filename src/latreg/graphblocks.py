@@ -5,17 +5,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomial_gb import vanishing_ideal_finite_field
 from .errors import InvalidArgumentError, PreconditionError
 from .ffvanish import (
     PointSet,
     PrimeField,
     enumerate_parameterized,
     parameterized_hilbert_table,
+    vanishing_ideal_series,
 )
-from .hilbert import monomial_hilbert, reg_cm
 from .invariants import additive_regularity
-from .ring_core import standard_grading
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,8 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
     reduced modulo the (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}
     (``vanishing_ideal_finite_field``).  S/I(X) is Cohen-Macaulay of
     dimension 1, so the regularity is read off the Hilbert series of its
-    initial ideal.  No character is counted, so this route cross-checks
-    ``edge_regularity``.
+    initial ideal (``vanishing_ideal_series``).  No character is counted,
+    so this route cross-checks ``edge_regularity``.
     """
     if bipartition(G) is None:
         raise PreconditionError("graph is not bipartite")
@@ -252,7 +250,4 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
     q = field.p
     if q < 3:
         raise PreconditionError("need q >= 3")
-    vs = characteristic_vectors(G)
-    s = len(vs)
-    leads = [g.plus for g in vanishing_ideal_finite_field(vs, q).gens]
-    return reg_cm(monomial_hilbert(leads, standard_grading(s)), s - 1)
+    return vanishing_ideal_series(field, characteristic_vectors(G))[2]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .binomial_gb import BinomialIdeal, buchberger, initial_ideal
 from .errors import (
-    BudgetExceededError,
     DimensionError,
     InvalidArgumentError,
     NeedsLongerTableError,
@@ -168,30 +167,17 @@ def _minimalize(gens):
     return tuple(out)
 
 
-# degree of lcm(M) above which monomial_hilbert gives up: its polynomials
-# are dense.  For I(X) of a parameterized set, deg lcm(in I(X)) is at most
-# |X| |U| + s, so every set the character search answers stays below it
-_NUMERATOR_BUDGET = 10_000_000
-
-
 def monomial_hilbert(gens, d: Grading) -> HilbertSeries:
     """Hilbert series of S/M for a monomial ideal M.
 
     Pivot recursion N(M) = N(M + (p)) + t^deg(p) N(M : p) on a pure power
     p = x_i^e, with x_i the variable in the most generators and e the median
-    of its positive exponents (Bigatti's pivot).  Every ideal met is
-    generated by divisors of lcm(M), so no polynomial formed has degree
-    above deg lcm(M); raises BudgetExceededError when that passes
-    _NUMERATOR_BUDGET.
+    of its positive exponents (Bigatti's pivot).
     """
     gens = _minimalize(tuple(tuple(int(x) for x in g) for g in gens))
     for g in gens:
         if len(g) != d.num_vars:
             raise DimensionError("monomial length does not match grading")
-    if gens and weighted_degree(tuple(map(max, zip(*gens))), d) > _NUMERATOR_BUDGET:
-        raise BudgetExceededError(
-            f"Hilbert numerator needs more than {_NUMERATOR_BUDGET} coefficients"
-        )
     return HilbertSeries(_numerator(gens, d), d)
 
 

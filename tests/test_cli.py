@@ -112,6 +112,7 @@ def test_vanish(capsys):
         (["--q", "3", "--torus", "0,2", "--ideal"], "invalid-argument"),
         (["--q", "2", "--monomials", "[[1],[2]]", "--ideal"], "unsupported-field"),
         (["--q", str(2**127 - 1), "--torus", "1,2", "--ideal"], "budget-exceeded"),
+        (["--q", str(2**61 - 1), "--monomials", "[[1],[2],[3]]", "--ideal"], "budget-exceeded"),
     ],
 )
 def test_vanish_domain_errors(capsys, argv, name):
@@ -142,6 +143,51 @@ def test_vanish_sumset_budget_fails_before_search(capsys):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (1, "")
     assert err == "budget-exceeded: character sumset needs more than 4000000 sums\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "5", "--torus", "1,2"],
+        ["--q", "7", "--torus", "2,3"],
+        ["--q", "5", "--torus", "1,1,2"],
+        ["--q", "7", "--torus", "3"],
+        ["--q", "3", "--monomials", "[[1],[2]]"],
+        ["--q", "7", "--monomials", "[[2],[4],[6]]"],
+        ["--q", "5", "--monomials", "[[1,0],[0,1],[1,1]]"],
+        ["--q", "7", "--monomials", "[[1,2],[2,1],[1,1]]"],
+        ["--q", "5", "--monomials", "[[1,1,0],[0,1,1],[1,0,1]]"],
+        ["--q", "3", "--monomials", "[[1,1,0,0],[0,1,1,0],[0,0,1,1],[1,0,0,1]]"],
+    ],
+)
+def test_vanish_ideal_series_matches_character_search(capsys, argv):
+    # with --ideal, |X|, H and reg come off the Hilbert series of in(I(X));
+    # without it, off the character search: the two must agree
+    code, out, _ = run(capsys, "vanish", *argv)
+    code_i, out_i, _ = run(capsys, "vanish", *argv, "--ideal")
+    assert code == code_i == 0
+    lines = out_i.splitlines()
+    assert lines[: lines.index("ideal:")] == out.splitlines()
+
+
+def test_vanish_ideal_degree_budget(capsys, monkeypatch):
+    # [[1],[2],[3]] over F_5 has (s-1)(q-1) = 8
+    argv = ["vanish", "--q", "5", "--monomials", "[[1],[2],[3]]", "--ideal"]
+    monkeypatch.setattr(ffvanish, "_DEGREE_BUDGET", 8)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(ffvanish, "_DEGREE_BUDGET", 7)
+    assert run(capsys, *argv)[:2] == (1, "")
+    monkeypatch.undo()
+    # q = 2^61 - 1: reducing the seed t_2^{q-1} - t_3^{q-1} would take ~2^60
+    # steps, so the budget is checked before the ideal is built
+    start = time.perf_counter()
+    argv = ["vanish", "--q", str(2**61 - 1), "--monomials", "[[1],[2],[3]]", "--ideal"]
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "budget-exceeded: vanishing ideal degree bound (s-1)(q-1) passes 4000000\n"
+    )
 
 
 def test_vanish_ideal_reads_series_past_sumset_budget(capsys):

@@ -9,9 +9,7 @@ from latreg.binomial_gb import (
     initial_ideal,
     lattice_ideal_generators,
 )
-from latreg import hilbert
 from latreg.errors import (
-    BudgetExceededError,
     InvalidArgumentError,
     NeedsLongerTableError,
 )
@@ -53,15 +51,6 @@ def test_monomial_hilbert_examples():
     Fw = monomial_hilbert([(3, 0)], G23)
     assert Fw.numerator == (1, 0, 0, 0, 0, 0, -1)
     assert Fw.weights == G23
-
-
-def test_monomial_hilbert_numerator_budget(monkeypatch):
-    # lcm(t1^6, t1^2 t2^3) = t1^6 t2^3 has weighted degree 12 + 9 = 21
-    monkeypatch.setattr(hilbert, "_NUMERATOR_BUDGET", 21)
-    assert monomial_hilbert([(6, 0), (2, 3)], G23).numerator
-    monkeypatch.setattr(hilbert, "_NUMERATOR_BUDGET", 20)
-    with pytest.raises(BudgetExceededError):
-        monomial_hilbert([(6, 0), (2, 3)], G23)
 
 
 def test_monomial_hilbert_matches_direct_count():
