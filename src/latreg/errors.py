@@ -42,10 +42,6 @@ class BudgetExceededError(LatregError):
     name = "budget-exceeded"
 
 
-class NotFoundError(LatregError):
-    name = "not-found"
-
-
 class PreconditionError(LatregError):
     name = "precondition-violation"
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .hilbert import HilbertSeries, monomial_hilbert, reg_cm
-from .intlat import Lattice, is_prime
+from .intlat import Lattice, Matrix, is_prime
 from .ring_core import exponent_vectors, standard_grading
 
 
@@ -241,22 +241,19 @@ def enumerate_degenerate_torus(field: PrimeField, v) -> PointSet:
 
 
 def _extend_basis(basis: dict[int, list[int]], rows, p: int) -> None:
-    """Add rows to a reduced row echelon basis over F_p, kept as pivot
-    column -> row with 1 at its pivot and 0 at every other pivot."""
+    """Add rows to a row echelon basis over F_p, kept as pivot column -> row
+    with 1 at its pivot and 0 before it.  A new row is reduced against the
+    pivots in ascending order, which clears it at every pivot column."""
     for row in rows:
-        for c, b in basis.items():
+        for c in sorted(basis):
             f = row[c]
-            if f:  # b is zero before column c
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], b[c:])]
+            if f:  # basis[c] is zero before column c
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], basis[c][c:])]
         k = next((k for k, x in enumerate(row) if x), None)
         if k is None:
             continue
         u = pow(row[k], p - 2, p)
         row[k:] = [x * u % p for x in row[k:]]
-        for b in basis.values():
-            f = b[k]
-            if f:
-                b[k:] = [(x - f * y) % p for x, y in zip(b[k:], row[k:])]
         basis[k] = row
 
 
@@ -308,63 +305,76 @@ def regularity_points(X: PointSet) -> int:
             raise InternalError("evaluation rank failed to reach |X|")
 
 
+def _root_of_unity(p: int, m: int) -> int:
+    """A generator of mu_m, the m-th roots of unity in F_p^*, for m | p-1:
+    the first b^{(p-1)/m}, b = 1, 2, ..., of order m.  Only m is factored,
+    in m steps, which the table of logs in mu_m takes anyway."""
+    factors = [f for f in range(2, m + 1) if m % f == 0 and is_prime(f)]
+    for b in range(1, p):
+        g = pow(b, (p - 1) // m, p)
+        if all(pow(g, m // f, p) != 1 for f in factors):
+            return g
+
+
+def _log_lattice(X: PointSet) -> tuple[Matrix, int] | None:
+    """The Hermite basis of the log lattice of X and m = gcd(|X|, p-1), or
+    None when X is not a subgroup of the torus.
+
+    Every coordinate x of a subgroup has x^{|X|} = 1 (Lagrange), so it lies
+    in the cyclic group mu_m; a zero coordinate fails this.  Taking logs to
+    a generator of mu_m, the normalized points (x_1, ..., x_n, 1), n = s-1,
+    are distinct vectors of (Z/m)^n, and together with m Z^n they span a
+    lattice L whose image L / m Z^n is the group that X generates.  That
+    group has m^n / prod(pivots of L) elements, so X is a subgroup iff
+    |X| prod(pivots) = m^n.
+    """
+    p, size = X.field.p, len(X)
+    m = gcd(size, p - 1)
+    if any(pow(x, size, p) != 1 for pt in X.points for x in pt):
+        return None
+    g = _root_of_unity(p, m)
+    log = {pow(g, k, p): k for k in range(m)}
+    n = X.num_coords - 1
+    logs = [tuple(log[x] for x in pt[:n]) for pt in X.points]
+    torus = [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]
+    basis = Lattice(n, logs + torus).basis
+    if size * prod(h[i] for i, h in enumerate(basis)) != m**n:
+        return None
+    return basis, m
+
+
 def is_subgroup_of_torus(X: PointSet) -> bool:
     """True iff all coordinates are nonzero and X is closed under
-    componentwise products (on normalized representatives): a finite
-    nonempty subset of a group closed under products is a subgroup."""
-    if any(x == 0 for pt in X.points for x in pt):
-        return False
-    pts = set(X.points)
-    f = X.field
-    return all(
-        normalize_point(f, tuple(x * y for x, y in zip(a, b))) in pts
-        for a in pts
-        for b in pts
-    )
-
-
-def _primitive_root(p: int) -> int:
-    order = p - 1
-    factors = set()
-    m = order
-    k = 2
-    while k * k <= m:
-        while m % k == 0:
-            factors.add(k)
-            m //= k
-        k += 1
-    if m > 1:
-        factors.add(m)
-    for b in range(2, p):
-        if all(pow(b, order // f, p) != 1 for f in factors):
-            return b
-    return 1  # p = 2
+    componentwise products, decided by the size of the group X generates
+    in its log lattice (``_log_lattice``); no product is formed."""
+    return _log_lattice(X) is not None
 
 
 def subgroup_to_monomials(X: PointSet) -> list[tuple[int, ...]]:
-    """Exponent vectors parameterizing the subgroup X, read off one Hermite
-    basis: at most max(1, s-1) parameters, and canonical for X.
+    """Exponent vectors parameterizing the subgroup X, read off the Hermite
+    basis of its log lattice: at most max(1, s-1) parameters, and canonical
+    for X.
 
-    A normalized point of X is (b^{l_1}, ..., b^{l_n}, 1), n = s-1, for the
-    least primitive root b, so the log vectors l and (p-1) Z^n span a
-    lattice L with L / (p-1) Z^n = X.  For the rows h_1, ..., h_r of L's
-    Hermite basis that are not 0 mod p-1, set v_i = (h_1[i], ..., h_r[i])
-    for i <= n and v_s = 0: then y_j = b^{c_j} gives the point with logs
-    sum_j c_j h_j, and these run over all of L mod p-1.  A zero entry is
-    written p-1 (the same value on units, and it keeps every vector
-    nonzero); the trivial group gets one parameter.
+    With m = gcd(|X|, p-1) and c = (p-1)/m, L / m Z^n = X for the lattice
+    L of logs to a generator g of mu_m (``_log_lattice``), n = s-1.  For the rows h_1, ..., h_r of
+    L's Hermite basis that are not 0 mod m, set v_i = c (h_1[i], ..., h_r[i])
+    for i <= n and v_s = 0.  As y_j runs over F_p^*, y_j^c runs over all of
+    mu_m, say as g^{k_j}, so the point at y has logs sum_j k_j h_j, and these
+    run over all of L mod m.  The result is what logs to a primitive root of
+    F_p^* give, since those are c times the logs in mu_m and the Hermite
+    basis of c L is c times that of L.  A zero entry is written p-1 (the
+    same value on units, and it keeps every vector nonzero); the trivial
+    group gets one parameter.
     """
-    if not is_subgroup_of_torus(X):
+    found = _log_lattice(X)
+    if found is None:
         raise InvalidArgumentError("point set is not a subgroup of the torus")
+    basis, m = found
     p = X.field.p
-    beta = _primitive_root(p)
-    log = {pow(beta, k, p): k for k in range(p - 1)}
+    c = (p - 1) // m
     n = X.num_coords - 1
-    logs = [tuple(log[x] for x in pt[:n]) for pt in X.points]
-    torus = [tuple(p - 1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rows = [h for h in Lattice(n, logs + torus).basis if any(x % (p - 1) for x in h)]
-    rows = rows or [(0,) * n]
-    vs = [tuple(h[i] or p - 1 for h in rows) for i in range(n)]
+    rows = [h for h in basis if any(x % m for x in h)] or [(0,) * n]
+    vs = [tuple(c * h[i] or p - 1 for h in rows) for i in range(n)]
     return vs + [(p - 1,) * len(rows)]
 
 

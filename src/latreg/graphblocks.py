@@ -247,7 +247,4 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
         raise PreconditionError("graph is not bipartite")
     if is_forest(G):
         raise PreconditionError("graph is a forest")
-    q = field.p
-    if q < 3:
-        raise PreconditionError("need q >= 3")
     return vanishing_ideal_series(field, characteristic_vectors(G))[2]

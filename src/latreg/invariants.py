@@ -10,16 +10,18 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import (
+    BudgetExceededError,
     InternalError,
     InvalidArgumentError,
-    NotFoundError,
     UnsupportedFieldError,
 )
 from .intlat import Lattice, is_homogeneous, is_prime, torsion_order
 from .numsgp import NumericalSemigroup, frobenius_number
 from .ring_core import Grading
 
-_PRIME_SCAN_CAP = 10**6
+# candidates q = k m + 1 that prescribe_regularity tests before it gives up;
+# is_prime is cheap at any size, so the count is capped and not q
+_PRIME_CANDIDATE_BUDGET = 10**6
 
 
 def curve_spec(exponents) -> Grading:
@@ -94,17 +96,20 @@ def degenerate_torus_invariants(spec: TorusSpec) -> TorusInvariants:
 
 def prescribe_regularity(d: Grading) -> TorusSpec:
     """Smallest prime q = 1 (mod lcm(d_i)), q >= 3, and v_i = (q-1)/d_i, so the
-    degenerate torus over F_q realizes exactly the invariants of d."""
+    degenerate torus over F_q realizes exactly the invariants of d.  Raises
+    BudgetExceededError when none of the first _PRIME_CANDIDATE_BUDGET
+    candidates k lcm(d_i) + 1 is prime."""
     m = reduce(lcm, d.weights)
-    q = m + 1
-    while q <= _PRIME_SCAN_CAP:
+    for k in range(1, _PRIME_CANDIDATE_BUDGET + 1):
+        q = k * m + 1
         if q >= 3 and is_prime(q):
             spec = TorusSpec(q, tuple((q - 1) // w for w in d.weights))
             if spec.derived_weights != d:
                 raise InternalError("prescribed type failed to round-trip")
             return spec
-        q += m
-    raise NotFoundError(f"no admissible prime below {_PRIME_SCAN_CAP}")
+    raise BudgetExceededError(
+        f"no admissible prime among the first {_PRIME_CANDIDATE_BUDGET} candidates"
+    )
 
 
 def additive_regularity(reg_parts, ell: int) -> int:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from latreg.errors import DimensionError, InvalidArgumentError
-from latreg.intlat import Lattice, as_matrix, kernel_lattice
+from latreg.intlat import Lattice, as_matrix, is_prime, kernel_lattice
 from latreg.ring_core import Binomial, Grading
 
 
@@ -158,6 +158,36 @@ def sumset_table(field, vs):
             return table
         level = level_next
         table.append(len(level))
+
+
+def closed_under_products(X):
+    """Subgroup test on a PointSet by brute force: every coordinate is
+    nonzero, so every normalized point ends in 1, and every product of two
+    points lies in X (a finite nonempty subset of a group closed under
+    products is a subgroup).  Forms all |X|^2 products."""
+    p = X.field.p
+    if any(x == 0 for pt in X.points for x in pt):
+        return False
+    pts = set(X.points)
+    return all(tuple(x * y % p for x, y in zip(a, b)) in pts for a in pts for b in pts)
+
+
+def primitive_root_parameterization(X):
+    """Exponent vectors of the subgroup X from logs to the least primitive
+    root b of F_p^*, tabulated over all p-1 powers: the Hermite rows of
+    span(logs) + (p-1) Z^n that are not 0 mod p-1, one parameter each, with
+    a zero entry written p-1 and the all-(p-1) vector last."""
+    p = X.field.p
+    primes = [f for f in range(2, p) if (p - 1) % f == 0 and is_prime(f)]
+    b = next(b for b in range(1, p) if all(pow(b, (p - 1) // f, p) > 1 for f in primes))
+    log = {pow(b, k, p): k for k in range(p - 1)}
+    n = X.num_coords - 1
+    logs = [tuple(log[x] for x in pt[:n]) for pt in X.points]
+    torus = [tuple(p - 1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [h for h in Lattice(n, logs + torus).basis if any(x % (p - 1) for x in h)]
+    rows = rows or [(0,) * n]
+    vs = [tuple(h[i] or p - 1 for h in rows) for i in range(n)]
+    return vs + [(p - 1,) * len(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from latreg import ffvanish
+from latreg import cli, ffvanish, invariants
 from latreg.cli import main, parse_ideal_file
 from latreg.errors import ParseError
 
@@ -53,6 +53,39 @@ def test_gb_and_hilbert(capsys):
     assert lines[1] == "a-invariant: 4"
     assert lines[2].startswith("H(0..")
     assert lines[3].endswith("5")
+
+
+def test_prescribe_budgets_candidates_not_q(capsys, monkeypatch):
+    # 36 * 1000003 + 1 and 6 * 1999966 + 1 lie past 10^6, but they are early
+    # candidates k lcm(d_i) + 1
+    assert run(capsys, "prescribe", "1000003") == (0, "q=36000109 v=36\n", "")
+    want = (0, "q=11999797 v=12,5999898\n", "")
+    assert run(capsys, "prescribe", "999983", "2") == want
+    # 8, 15 and 22 are not prime, and 29 is the fourth candidate
+    monkeypatch.setattr(invariants, "_PRIME_CANDIDATE_BUDGET", 4)
+    assert run(capsys, "prescribe", "7") == (0, "q=29 v=4\n", "")
+    monkeypatch.setattr(invariants, "_PRIME_CANDIDATE_BUDGET", 3)
+    err = "budget-exceeded: no admissible prime among the first 3 candidates\n"
+    assert run(capsys, "prescribe", "7") == (1, "", err)
+
+
+def test_hilbert_numerator_degree_budget(tmp_path, capsys, monkeypatch):
+    # a dense numerator of degree 10^12 would not fit in memory; the basis
+    # is the input, so the budget is checked at once
+    path = tmp_path / "huge.txt"
+    path.write_text("t1^1000000000000 - t2^1000000000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hilbert", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err == "budget-exceeded: Hilbert numerator degree bound passes 4000000\n"
+    # the leads t1^2 and t2^3 have an lcm of degree 5, the numerator's degree
+    argv = ["hilbert", "t1^2 - t3^2", "t2^3 - t3^3"]
+    monkeypatch.setattr(cli, "_NUMERATOR_DEGREE_BUDGET", 5)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[0]) == (0, "numerator: 1 - t^2 - t^3 + t^5")
+    monkeypatch.setattr(cli, "_NUMERATOR_DEGREE_BUDGET", 4)
+    assert run(capsys, *argv)[:2] == (1, "")
 
 
 def test_gb_parse_error_exit_2(capsys):
@@ -251,6 +284,19 @@ def test_graph_reg(tmp_path, capsys):
     empty.write_text(json.dumps({"n": 0, "edges": []}))
     code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(empty))
     assert code == 1 and err == "invalid-argument: graph has no edges\n"
+
+
+def test_graph_reg_one_field_rule(tmp_path, capsys):
+    # every method that builds the edge point set needs q >= 3; the bounds
+    # are closed forms in q
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}))
+    err = "unsupported-field: parameterized sets need p >= 3\n"
+    for method in ("blocks", "oracle", "colon"):
+        argv = ["graph-reg", "--q", "2", "--method", method, str(path)]
+        assert run(capsys, *argv) == (1, "", err), method
+    argv = ["graph-reg", "--q", "2", "--method", "bounds", str(path)]
+    assert run(capsys, *argv) == (0, "lower=0 upper=0\n", "")
 
 
 def test_json_output_deterministic(capsys):

@@ -3,10 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from helpers import naive_point_rank
+from helpers import (
+    closed_under_products,
+    naive_point_rank,
+    primitive_root_parameterization,
+)
 from latreg import ffvanish
 from latreg.binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
 from latreg.errors import (
@@ -227,6 +232,57 @@ def test_subgroup_to_monomials_reads_hermite_basis():
     ]
     assert subgroup_to_monomials(point_set(F7, [(1, 1, 1)])) == [(6,), (6,), (6,)]
     assert subgroup_to_monomials(point_set(F7, [(3,)])) == [(6,)]
+
+
+def test_subgroup_route_matches_product_closure():
+    # seeded parameterized subgroups, each less one point, plus a random
+    # point, and a random half, against the |X|^2 product test; on every
+    # subgroup the parameters equal those read off logs to a primitive root
+    rng = random.Random(11)
+    sets = []
+    while len(sets) < 1000:
+        field = PrimeField(rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+        p = field.p
+        s, k = rng.randint(1, 4), rng.randint(1, 3)
+        vs = [tuple(rng.randint(0, 2 * p) for _ in range(k)) for _ in range(s)]
+        if (p - 1) ** k > 150 or not all(any(v) for v in vs):
+            continue
+        pts = list(enumerate_parameterized(field, vs).points)
+        sets.append(point_set(field, pts))
+        if len(pts) > 1:
+            sets.append(point_set(field, rng.sample(pts, len(pts) - 1)))
+            sets.append(point_set(field, rng.sample(pts, (len(pts) + 1) // 2)))
+        extra = tuple(rng.randrange(p) for _ in range(s))
+        if any(extra):
+            sets.append(point_set(field, pts + [extra]))
+    subgroups = 0
+    for X in sets:
+        want = closed_under_products(X)
+        assert is_subgroup_of_torus(X) == want
+        if want:
+            subgroups += 1
+            assert subgroup_to_monomials(X) == primitive_root_parameterization(X)
+    assert 0 < subgroups < len(sets)
+
+
+def test_subgroup_route_scales_with_x_not_q():
+    # the full torus of P^3 over F_13 has 1,728 points, so ~3e6 products;
+    # the pair over F_{2^61-1} would need a table of 2^61-2 powers
+    p = 2**61 - 1
+    cases = [
+        (
+            enumerate_degenerate_torus(PrimeField(13), (1, 1, 1, 1)),
+            [(1, 12, 12), (12, 1, 12), (12, 12, 1), (12, 12, 12)],
+        ),
+        (point_set(PrimeField(p), [(1, 1), (-1, 1)]), [((p - 1) // 2,), (p - 1,)]),
+    ]
+    for X, want in cases:
+        start = time.perf_counter()
+        assert is_subgroup_of_torus(X)
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        assert subgroup_to_monomials(X) == want
+        assert time.perf_counter() - start < 1
 
 
 def test_check_vanishing_examples():

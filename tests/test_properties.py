@@ -10,13 +10,20 @@ st = hypothesis.strategies
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from helpers import naive_point_rank, saturated_lattice_vanishing_ideal  # noqa: E402
+from helpers import (  # noqa: E402
+    closed_under_products,
+    naive_point_rank,
+    saturated_lattice_vanishing_ideal,
+)
 from latreg.binomial_gb import vanishing_ideal_finite_field  # noqa: E402
 from latreg.ffvanish import (  # noqa: E402
     PrimeField,
     degenerate_torus_vectors,
     enumerate_parameterized,
+    is_subgroup_of_torus,
     parameterized_hilbert_table,
+    point_set,
+    subgroup_to_monomials,
 )
 from latreg.intlat import (  # noqa: E402
     Lattice,
@@ -69,6 +76,28 @@ def test_character_search_matches_evaluation_rank(case):
     table = parameterized_hilbert_table(X.field, vs)
     reg = len(table) - 1
     assert [naive_point_rank(X.points, q, d) for d in range(reg + 2)] == table + [len(X)]
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(_parameterizations(primes=(3, 5, 7, 11, 13)), st.data())
+def test_subgroup_test_matches_product_closure(case, data):
+    # a parameterized set, less one of its points or with one more point,
+    # against the |X|^2 product test; a subgroup's parameters give it back
+    vs, q = case
+    X = enumerate_parameterized(PrimeField(q), vs)
+    hypothesis.assume(len(X) <= 64)
+    pts = list(X.points)
+    change = data.draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and len(pts) > 1:
+        pts.pop(data.draw(st.integers(0, len(pts) - 1)))
+    elif change == "add":
+        coords = st.lists(st.integers(0, q - 1), min_size=len(vs), max_size=len(vs))
+        pts.append(tuple(data.draw(coords.filter(any))))
+    Y = point_set(X.field, pts)
+    assert is_subgroup_of_torus(Y) == closed_under_products(Y)
+    if is_subgroup_of_torus(Y):
+        vs = subgroup_to_monomials(Y)
+        assert enumerate_parameterized(Y.field, vs).points == Y.points
 
 
 @st.composite
