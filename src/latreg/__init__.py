@@ -43,7 +43,6 @@ from .graphblocks import (
     reg_colon_method,
 )
 from .hilbert import (
-    HilbertFunctionTable,
     HilbertSeries,
     a_invariant,
     degree_dim1_standard,

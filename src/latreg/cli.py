@@ -2,7 +2,8 @@
 
 Plain-text output by default, ``--json`` for machine-readable objects with
 sorted keys; output is byte-deterministic for fixed inputs.  Exit codes:
-0 success, 1 domain error (error name on stderr), 2 usage or parse error.
+0 success, 1 domain error (error name on stderr) or stdout closed early, 2
+usage or parse error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, hilbert
 from .binomial_gb import BinomialIdeal, buchberger, initial_ideal
 from .errors import BudgetExceededError, InvalidArgumentError, LatregError, ParseError
 from .ffvanish import (
@@ -171,26 +172,16 @@ def _cmd_lattice(args):
         )
 
 
-def _order_for(args, grading: Grading) -> MonomialOrder:
-    # argparse ``choices`` admits only these two
-    orders = {"grevlex": MonomialOrder.grevlex(grading), "lex": MonomialOrder.lex()}
-    return orders[args.order]
-
-
 def _cmd_gb(args):
     ideal = _read_ideal(args, args.ideal)
     grading = _weights(args) or standard_grading(ideal.num_vars)
     if grading.num_vars != ideal.num_vars:
         raise ParseError("weights do not match the number of variables")
-    G = buchberger(ideal, _order_for(args, grading))
-    basis = [render_binomial(b) for b in G.elements]
+    # argparse ``choices`` admits only these two
+    lex = args.order == "lex"
+    order = MonomialOrder.lex() if lex else MonomialOrder.grevlex(grading)
+    basis = [render_binomial(b) for b in buchberger(ideal, order).elements]
     _emit(args, {"basis": basis}, basis or ["0"])
-
-
-# weighted degree of lcm(in(I)) above which `hilbert` gives up before the
-# dense numerator is built: it bounds the numerator's degree and the H line
-# (4e6 prints 4e6 + 3 values in ~3.5 s)
-_NUMERATOR_DEGREE_BUDGET = 4_000_000
 
 
 def _cmd_hilbert(args):
@@ -200,12 +191,12 @@ def _cmd_hilbert(args):
         raise ParseError("weights do not match the number of variables")
     if not all(g.is_homogeneous(grading) for g in ideal.gens):
         raise InvalidArgumentError("ideal is not homogeneous for the grading")
-    leads = initial_ideal(buchberger(ideal, _order_for(args, grading)))
+    # the series of S/in(I) is that of S/I under any order (Macaulay)
+    leads = initial_ideal(buchberger(ideal, MonomialOrder.grevlex(grading)))
     top = weighted_degree(tuple(map(max, zip(*leads))), grading) if leads else 0
-    if top > _NUMERATOR_DEGREE_BUDGET:
-        raise BudgetExceededError(
-            f"Hilbert numerator degree bound passes {_NUMERATOR_DEGREE_BUDGET}"
-        )
+    budget = hilbert._NUMERATOR_DEGREE_BUDGET
+    if top > budget:
+        raise BudgetExceededError(f"Hilbert numerator degree bound passes {budget}")
     F = monomial_hilbert(leads, grading)
     table = hilbert_table(F)
     dim = F.dimension()
@@ -216,14 +207,14 @@ def _cmd_hilbert(args):
         {
             "numerator": list(F.numerator),
             "a_invariant": a_invariant(F),
-            "H": list(table.values),
+            "H": list(table),
             "dim": dim,
             "reg_cm": reg,
         },
         [
             f"numerator: {poly_str(F.numerator)}",
             f"a-invariant: {a_invariant(F)}",
-            "H(0..{}): {}".format(table.truncation, " ".join(map(str, table.values))),
+            "H(0..{}): {}".format(len(table) - 1, " ".join(map(str, table))),
             f"reg (if CM, dim {dim}): {reg}",
         ],
     )
@@ -289,18 +280,19 @@ def _cmd_vanish(args):
 def _cmd_graph_reg(args):
     G = _load_graph(args.file)
     field = PrimeField(args.q)
-    if args.method == "oracle":
-        reg = edge_regularity(G, field)
-        _emit(args, {"reg": reg, "method": "oracle"}, [f"reg={reg}"])
-    elif args.method == "blocks":
-        reg = reg_bipartite_blocks(G, field)
-        _emit(args, {"reg": reg, "method": "blocks"}, [f"reg={reg}"])
-    elif args.method == "colon":
-        reg = reg_colon_method(G, field)
-        _emit(args, {"reg": reg, "method": "colon"}, [f"reg={reg}"])
-    else:  # bounds
+    if args.method == "bounds":
         lo, hi = reg_bounds_bipartite(G, field)
         _emit(args, {"lower": lo, "upper": hi}, [f"lower={lo} upper={hi}"])
+        return
+    # built per call, so a function replaced in this module's namespace (the
+    # benchmark's tracer) is the one called
+    methods = {
+        "blocks": reg_bipartite_blocks,
+        "oracle": edge_regularity,
+        "colon": reg_colon_method,
+    }
+    reg = methods[args.method](G, field)
+    _emit(args, {"reg": reg, "method": args.method}, [f"reg={reg}"])
 
 
 def _cmd_version(args):
@@ -333,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert series and regularity data")
     p.add_argument("--weights", help="comma-separated positive weights")
-    p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
     p.add_argument("ideal", nargs="+", help="binomials, or one ideal file")
     p.set_defaults(func=_cmd_hilbert)
 
@@ -393,7 +384,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main() with the exit code set, and exit code 1
+    with nothing on stderr when stdout is closed early (``latreg ... | head``)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the flush at interpreter
+        # exit does not raise again (the recipe of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
+from . import hilbert
 from .binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
 from .errors import (
     BudgetExceededError,
@@ -187,12 +188,6 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
         table.append(len(seen))
 
 
-# (s-1)(p-1) above which vanishing_ideal_series gives up.  On a curve with
-# distinct steps (n = 1, |X| = p-1, |U| = s-1) the character search forms
-# the same number of sums, so both routes give up on the same curves
-_DEGREE_BUDGET = 4_000_000
-
-
 def vanishing_ideal_series(
     field: PrimeField, vs
 ) -> tuple[BinomialIdeal, HilbertSeries, int]:
@@ -203,15 +198,18 @@ def vanishing_ideal_series(
     S/in(I(X)), so reg is read off that series and no character is counted.
     t_i^{p-1} - t_s^{p-1} lies in I(X) and t_s divides no lead of its basis,
     so deg lcm(in I(X)) <= (s-1)(p-1), which bounds the numerator and reg.
-    The work grows with it too: the seeds t_i^{p-1} - t_s^{p-1} are reduced
-    one division step at a time.  BudgetExceededError is raised before the
-    ideal is built when (s-1)(p-1) passes _DEGREE_BUDGET.
+    BudgetExceededError is raised before the ideal is built when (s-1)(p-1)
+    passes the numerator budget of ``hilbert``.  On a curve with distinct
+    steps (n = 1, |X| = p-1, |U| = s-1) the character search forms the same
+    number of sums against an equal budget, so both routes give up on the
+    same curves.
     """
     vs = _parameterization(field, vs)
     s = len(vs)
-    if (s - 1) * (field.p - 1) > _DEGREE_BUDGET:
+    budget = hilbert._NUMERATOR_DEGREE_BUDGET
+    if (s - 1) * (field.p - 1) > budget:
         raise BudgetExceededError(
-            f"vanishing ideal degree bound (s-1)(q-1) passes {_DEGREE_BUDGET}"
+            f"vanishing ideal degree bound (s-1)(q-1) passes {budget}"
         )
     I = vanishing_ideal_finite_field(vs, field.p)
     F = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))

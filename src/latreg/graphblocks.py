@@ -177,11 +177,6 @@ def blocks(G: Graph) -> BlockDecomposition:
     )
 
 
-def is_forest(G: Graph) -> bool:
-    comps = connected_components(G)
-    return len(G.edges) == G.n - len(comps)
-
-
 def _block_subgraph(block_edges) -> Graph:
     verts = sorted({v for e in block_edges for v in e})
     relabel = {v: i + 1 for i, v in enumerate(verts)}
@@ -234,7 +229,8 @@ def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
 
 
 def reg_colon_method(G: Graph, field: PrimeField) -> int:
-    """Regularity via the colon construction, on a Groebner basis.
+    """Regularity via the colon construction, on a Groebner basis, for any
+    graph.
 
     I(X) = J : t_s^infty with J the binomials of the lattice-basis rows
     reduced modulo the (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}
@@ -243,8 +239,4 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
     initial ideal (``vanishing_ideal_series``).  No character is counted,
     so this route cross-checks ``edge_regularity``.
     """
-    if bipartition(G) is None:
-        raise PreconditionError("graph is not bipartite")
-    if is_forest(G):
-        raise PreconditionError("graph is a forest")
     return vanishing_ideal_series(field, characteristic_vectors(G))[2]

@@ -20,6 +20,12 @@ from .ring_core import Grading, MonomialOrder, standard_grading, weighted_degree
 
 Poly = tuple[int, ...]  # coefficient list, index = degree, trimmed
 
+# degree bound on a numerator above which its callers give up before the
+# dense numerator is built: `hilbert` checks the weighted degree of
+# lcm(in(I)), `vanish --ideal` the bound (s-1)(q-1) before I(X) is built.
+# It also bounds the printed H line (4e6 prints 4e6 + 3 values in ~3.5 s)
+_NUMERATOR_DEGREE_BUDGET = 4_000_000
+
 
 def _trim(p) -> Poly:
     p = list(p)
@@ -118,20 +124,6 @@ class HilbertSeries:
             return 0
         s = self.weights.num_vars
         return s - one_minus_t_multiplicity(self.numerator, cap=s)
-
-
-@dataclass(frozen=True)
-class HilbertFunctionTable:
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if not self.values:
-            raise InvalidArgumentError("empty Hilbert table")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.values) - 1
 
 
 def rational_equal(F: HilbertSeries, G: HilbertSeries) -> bool:
@@ -276,28 +268,26 @@ def reg_cm(F: HilbertSeries, height: int) -> int:
     return a_invariant(F) - height + F.weights.total
 
 
-def hilbert_table(F: HilbertSeries, n: int | None = None) -> HilbertFunctionTable:
-    """Table H(0..n); by default n is past the stabilization bound
+def hilbert_table(F: HilbertSeries) -> tuple[int, ...]:
+    """H(0..n) with n = deg(numerator) + 2, past the stabilization bound
     deg(numerator), so dimension <= 1 tables are certified stable."""
-    if n is None:
-        n = max(len(F.numerator) - 1, 0) + 2
-    return HilbertFunctionTable(tuple(F.expand(n)))
+    return tuple(F.expand(max(len(F.numerator) - 1, 0) + 2))
 
 
-def index_of_regularity(T: HilbertFunctionTable, dim: int) -> int:
-    """Least ell >= 0 with H(d) equal to the Hilbert polynomial for d >= ell.
+def index_of_regularity(vals, dim: int) -> int:
+    """Least ell >= 0 with H(d) equal to the Hilbert polynomial for d >= ell,
+    for a table vals = H(0..n).
 
     Supports dim 0 (polynomial 0) and dim 1 (constant polynomial); weighted
     quasi-polynomial cases are out of scope and rejected.
     """
-    vals = T.values
     if dim == 1:
-        target = vals[-1]
-        if len(vals) < 2 or vals[-2] != target:
+        if len(vals) < 2 or vals[-2] != vals[-1]:
             raise NeedsLongerTableError("table shows no stabilization")
+        target = vals[-1]
     elif dim == 0:
         target = 0
-        if vals[-1] != 0:
+        if not vals or vals[-1] != 0:
             raise NeedsLongerTableError("table has not reached zero")
     else:
         raise InvalidArgumentError("only dimensions 0 and 1 are supported")
@@ -307,9 +297,8 @@ def index_of_regularity(T: HilbertFunctionTable, dim: int) -> int:
     return ell
 
 
-def degree_dim1_standard(T: HilbertFunctionTable) -> int:
-    """Eventual constant value of a stabilized dimension-1 Hilbert table."""
-    vals = T.values
+def degree_dim1_standard(vals) -> int:
+    """Eventual constant value of a stabilized dimension-1 table H(0..n)."""
     if len(vals) < 2 or vals[-2] != vals[-1]:
         raise NeedsLongerTableError("table shows no stabilization")
     if vals[-1] < 1:

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
 
-from latreg import cli, ffvanish, invariants
+from latreg import binomial_gb, ffvanish, hilbert, invariants
 from latreg.cli import main, parse_ideal_file
 from latreg.errors import ParseError
 
@@ -53,6 +56,8 @@ def test_gb_and_hilbert(capsys):
     assert lines[1] == "a-invariant: 4"
     assert lines[2].startswith("H(0..")
     assert lines[3].endswith("5")
+    # the series does not depend on the order, so hilbert has no --order
+    assert run(capsys, "hilbert", "--order", "lex", "t1^6 - t2^6")[:2] == (2, "")
 
 
 def test_prescribe_budgets_candidates_not_q(capsys, monkeypatch):
@@ -81,10 +86,10 @@ def test_hilbert_numerator_degree_budget(tmp_path, capsys, monkeypatch):
     assert err == "budget-exceeded: Hilbert numerator degree bound passes 4000000\n"
     # the leads t1^2 and t2^3 have an lcm of degree 5, the numerator's degree
     argv = ["hilbert", "t1^2 - t3^2", "t2^3 - t3^3"]
-    monkeypatch.setattr(cli, "_NUMERATOR_DEGREE_BUDGET", 5)
+    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 5)
     code, out, _ = run(capsys, *argv)
     assert (code, out.splitlines()[0]) == (0, "numerator: 1 - t^2 - t^3 + t^5")
-    monkeypatch.setattr(cli, "_NUMERATOR_DEGREE_BUDGET", 4)
+    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 4)
     assert run(capsys, *argv)[:2] == (1, "")
 
 
@@ -206,9 +211,9 @@ def test_vanish_ideal_series_matches_character_search(capsys, argv):
 def test_vanish_ideal_degree_budget(capsys, monkeypatch):
     # [[1],[2],[3]] over F_5 has (s-1)(q-1) = 8
     argv = ["vanish", "--q", "5", "--monomials", "[[1],[2],[3]]", "--ideal"]
-    monkeypatch.setattr(ffvanish, "_DEGREE_BUDGET", 8)
+    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 8)
     assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(ffvanish, "_DEGREE_BUDGET", 7)
+    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 7)
     assert run(capsys, *argv)[:2] == (1, "")
     monkeypatch.undo()
     # q = 2^61 - 1: reducing the seed t_2^{q-1} - t_3^{q-1} would take ~2^60
@@ -276,6 +281,9 @@ def test_graph_reg(tmp_path, capsys):
     tri.write_text(json.dumps({"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}))
     code, _, err = run(capsys, "graph-reg", "--q", "3", tri.as_posix())
     assert code == 1 and "precondition-violation" in err
+    for method in ("oracle", "colon"):
+        argv = ["graph-reg", "--q", "3", "--method", method, str(tri)]
+        assert run(capsys, *argv) == (0, "reg=2\n", "")
     iso = tmp_path / "iso.json"
     iso.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
     code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(iso))
@@ -371,3 +379,45 @@ def test_graph_reg_long_path(tmp_path, capsys):
     assert (code, out) == (0, f"reg={n - 2}\n")
     code, out, _ = run(capsys, "graph-reg", "--q", "3", "--method", "bounds", str(path))
     assert (code, out) == (0, f"lower={n // 2 - 1} upper={n - 2}\n")
+
+
+def test_pure_powers_reduce_in_one_subtraction(capsys):
+    # t1^{q-1} - t2^{q-1} reduces by t1 - t2, and t1^2000000 - t2^2000000 by
+    # t1^2 - t2^2, in one subtraction each instead of a step per division
+    argv = ["vanish", "--q", "3999971", "--monomials", "[[1],[1]]", "--ideal"]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "|X|=1\nH(0..1): 1 1\nreg=0\nideal:\n  t1 - t2\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hilbert", "t1^2000000 - t2^2000000", "t1^2 - t2^2")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out.splitlines()[0]) == (0, "numerator: 1 - t^2")
+
+
+def test_groebner_work_budget(capsys, monkeypatch):
+    # this basis takes 7394 units of work; the input grows past any budget
+    # with q (at q = 10007 it gives up after 80M units)
+    argv = ["vanish", "--q", "11", "--monomials", "[[2,0],[0,3],[1,1],[1,2]]", "--ideal"]
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 7394)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 7393)
+    err = "budget-exceeded: Groebner basis computation passes 7393 units of work\n"
+    assert run(capsys, *argv) == (1, "", err)
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # several MB of output into a pipe closed after 20 bytes: exit code 1 and
+    # no BrokenPipeError traceback
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["vanish", "--q", "400009", "--monomials", "[[1],[2],[3]]"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latreg", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(20) == b"|X|=400008\nH(0..2000"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

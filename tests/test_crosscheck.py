@@ -38,9 +38,9 @@ from latreg.ffvanish import (
 )
 from latreg.graphblocks import (
     characteristic_vectors,
+    connected_components,
     edge_regularity,
     graph,
-    is_forest,
     reg_colon_method,
 )
 from latreg.hilbert import monomial_hilbert
@@ -148,7 +148,10 @@ def _bipartite_with_cycle(rng, max_left):
             if rng.random() < 0.7
         ]
         G = graph(n, edges)
-        if not G.isolated_vertices() and not is_forest(G):
+        # a graph with a cycle has more edges than a spanning forest
+        if not G.isolated_vertices() and len(G.edges) > G.n - len(
+            connected_components(G)
+        ):
             return G
 
 

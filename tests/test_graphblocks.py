@@ -22,7 +22,6 @@ from latreg.graphblocks import (
     edge_point_set,
     edge_regularity,
     graph,
-    is_forest,
     reg_bipartite_blocks,
     reg_bounds_bipartite,
     reg_colon_method,
@@ -243,10 +242,11 @@ def test_colon_method_examples():
     F7 = PrimeField(7)
     assert reg_colon_method(C4, F7) == 5
     assert reg_colon_method(C6, F7) == 10
-    with pytest.raises(PreconditionError):
-        reg_colon_method(PATH3, F3)
-    with pytest.raises(PreconditionError):
-        reg_colon_method(TRIANGLE, F3)
+    # a forest and an odd cycle: the colon answers like the oracle
+    for G, regs in ((PATH3, (1, 3, 5)), (TRIANGLE, (2, 6, 10))):
+        for q, reg in zip((3, 5, 7), regs):
+            assert reg_colon_method(G, PrimeField(q)) == reg
+            assert edge_regularity(G, PrimeField(q)) == reg
 
 
 def test_complete_bipartite_all_methods_agree():
@@ -276,4 +276,3 @@ def test_toric_plus_powers_saturates_to_vanishing_ideal():
     assert not is_lattice_ideal(I)
     IX = vanishing_ideal_finite_field(vs, q)
     assert ideal_equal(saturate_all(I), IX, MonomialOrder.grevlex(std))
-    assert is_forest(PATH3) and not is_forest(C4)

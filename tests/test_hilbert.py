@@ -14,7 +14,6 @@ from latreg.errors import (
     NeedsLongerTableError,
 )
 from latreg.hilbert import (
-    HilbertFunctionTable,
     HilbertSeries,
     a_invariant,
     degree_dim1_standard,
@@ -162,14 +161,17 @@ def test_a_invariant_examples():
 
 
 def test_index_of_regularity_examples():
-    assert index_of_regularity(HilbertFunctionTable((1, 2, 3, 4, 5, 6, 6, 6)), 1) == 5
-    assert index_of_regularity(HilbertFunctionTable((1, 1, 1)), 1) == 0
-    assert index_of_regularity(HilbertFunctionTable((1, 2, 2)), 1) == 1
-    assert index_of_regularity(HilbertFunctionTable((1, 2, 1, 0, 0)), 0) == 3
+    assert index_of_regularity((1, 2, 3, 4, 5, 6, 6, 6), 1) == 5
+    assert index_of_regularity((1, 1, 1), 1) == 0
+    assert index_of_regularity((1, 2, 2), 1) == 1
+    assert index_of_regularity((1, 2, 1, 0, 0), 0) == 3
     with pytest.raises(NeedsLongerTableError):
-        index_of_regularity(HilbertFunctionTable((1, 2, 3)), 1)
+        index_of_regularity((1, 2, 3), 1)
     with pytest.raises(InvalidArgumentError):
-        index_of_regularity(HilbertFunctionTable((1, 1)), 2)
+        index_of_regularity((1, 1), 2)
+    for dim in (0, 1):
+        with pytest.raises(NeedsLongerTableError):
+            index_of_regularity((), dim)
 
 
 def test_reg_cm_examples():
@@ -181,10 +183,13 @@ def test_reg_cm_examples():
 def test_degree_dim1_examples():
     F = series((1, 0, 0, 0, 0, 0, -1), STD2)
     T = hilbert_table(F)
+    assert T == (1, 2, 3, 4, 5, 6, 6, 6, 6)
     assert degree_dim1_standard(T) == 6
-    assert degree_dim1_standard(HilbertFunctionTable((1, 1, 1))) == 1
-    with pytest.raises(NeedsLongerTableError):
-        degree_dim1_standard(HilbertFunctionTable((1, 2, 3)))
+    assert degree_dim1_standard((1, 1, 1)) == 1
+    assert degree_dim1_standard([1, 1, 1]) == 1
+    for short in ((1, 2, 3), ()):
+        with pytest.raises(NeedsLongerTableError):
+            degree_dim1_standard(short)
 
 
 def test_expansion_nonnegative():

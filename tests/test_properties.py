@@ -1,5 +1,7 @@
 """Property tests on random small inputs (skipped without ``hypothesis``)."""
 
+import os
+import tempfile
 from math import lcm
 
 import pytest
@@ -16,6 +18,7 @@ from helpers import (  # noqa: E402
     saturated_lattice_vanishing_ideal,
 )
 from latreg.binomial_gb import vanishing_ideal_finite_field  # noqa: E402
+from latreg.cli import parse_ideal_file  # noqa: E402
 from latreg.ffvanish import (  # noqa: E402
     PrimeField,
     degenerate_torus_vectors,
@@ -25,6 +28,7 @@ from latreg.ffvanish import (  # noqa: E402
     point_set,
     subgroup_to_monomials,
 )
+from latreg.graphblocks import edge_regularity, graph, reg_colon_method  # noqa: E402
 from latreg.intlat import (  # noqa: E402
     Lattice,
     kernel_lattice,
@@ -32,6 +36,7 @@ from latreg.intlat import (  # noqa: E402
     smith_invariants,
 )
 from latreg.invariants import TorusSpec, degenerate_torus_invariants  # noqa: E402
+from latreg.ring_core import Binomial, parse_binomial, render_binomial  # noqa: E402
 
 
 @st.composite
@@ -138,3 +143,49 @@ def test_integer_normal_forms_match_sympy(A):
     assert saturate_lattice(S) == S
     assert S.rank == L.rank
     assert all(S.contains(row) for row in L.basis)
+
+
+@st.composite
+def _graphs(draw):
+    # up to 7 edges on at most 6 vertices, relabelled so none is isolated:
+    # forests, odd cycles and disconnected graphs all occur
+    pairs = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=7, unique=True))
+    used = sorted({v for e in edges for v in e})
+    label = {v: i + 1 for i, v in enumerate(used)}
+    return graph(len(used), [(label[u], label[v]) for u, v in edges])
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(_graphs(), st.sampled_from((3, 5, 7)))
+def test_colon_method_matches_character_search_on_any_graph(G, q):
+    field = PrimeField(q)
+    assert reg_colon_method(G, field) == edge_regularity(G, field)
+
+
+@st.composite
+def _binomial_lists(draw):
+    num_vars = draw(st.integers(1, 5))
+    exponent = st.integers(0, 12) | st.integers(0, 10**12)
+    side = st.lists(exponent, min_size=num_vars, max_size=num_vars)
+    pair = st.builds(Binomial, side, side)
+    return num_vars, draw(st.lists(pair, max_size=5))
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(_binomial_lists())
+def test_binomial_and_ideal_file_round_trip(case):
+    # render then parse gives each binomial back, signs in place; a file of
+    # rendered lines, with comments and blank lines, gives the ideal back
+    num_vars, bins = case
+    for b in bins:
+        c = parse_binomial(render_binomial(b), num_vars)
+        assert (c.plus, c.minus) == (b.plus, b.minus) or b.is_zero() and c.is_zero()
+    text = "# an ideal\n\n" + "".join(f"{render_binomial(b)}  # gen\n" for b in bins)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ideal.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        ideal = parse_ideal_file(path, num_vars)
+    want = [(b.plus, b.minus) for b in bins if not b.is_zero()]
+    assert [(g.plus, g.minus) for g in ideal.gens] == want
