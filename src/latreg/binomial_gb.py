@@ -8,8 +8,9 @@ monomial, which only arises when monomial generators are supplied explicitly
 (``initial_ideal_with_monomials``) -- with binomial-only input the engine
 stays closed inside pure differences, and checks it.
 
-Useless S-pairs are skipped by the Gebauer-Moeller criteria, and saturation
-by a variable takes a single Groebner basis (Bayer-Stillman), so
+Useless S-pairs are skipped by the Gebauer-Moeller chain criterion, applied
+to the pairs of each new element only, and saturation by a variable takes a
+single Groebner basis (Bayer-Stillman), so
 ``lattice_ideal_generators`` costs one basis per variable.
 ``vanishing_ideal_finite_field`` costs one basis: adding the powers
 t_i^{q-1} - t_s^{q-1} reduces its saturation to one variable.
@@ -107,13 +108,16 @@ def _orient(order, u, v):
 
 
 # work one _buchberger_elems call may do before it gives up: one unit per
-# basis element a pass of _reduce_term scans, and _UPDATE_COST per active
-# element and pending pair at each new element, on which the Gebauer-Moeller
-# update spends about ten times as long (C8 at q = 7: 1.9 s on 1.7M of them,
-# 1.0 s on 9.2M scans).  Over 3x the 26M units of I(X) for C8 at q = 7, and
-# over 40x the most of any test or benchmark job
-_WORK_BUDGET = 80_000_000
-_UPDATE_COST = 10
+# basis element a pass of _reduce_term scans, and _UPDATE_COST per earlier
+# element at each new element, whose pair and chain-criterion step takes
+# about fifty times as long as one scan (a least-squares fit over the calls
+# of the tests and benchmark jobs that took over 20 ms).  Over 8x the 18M
+# units of I(X) for C8 at q = 7, over 60x the most of any test or benchmark
+# job, and above the 128M units (13-15 s) of vanish --q 1009 --monomials
+# '[[2,0],[0,3],[1,1],[1,2]]' --ideal, so that input answers; at q = 10007
+# the same input gives up after 12-13 s
+_WORK_BUDGET = 150_000_000
+_UPDATE_COST = 50
 
 
 def _reduce_term(u, basis, masks, work):
@@ -169,53 +173,36 @@ def _spoly(f, g):
 def _buchberger_elems(elems, order):
     """Canonical reduced basis of (lead, tail) elements.
 
-    Normal selection strategy (smallest lcm degree first) with the
-    Gebauer-Moeller pair criteria.  Each surviving remainder is fully
-    reduced, so its lead strictly enlarges the initial ideal and termination
-    follows from Dickson's lemma.  The reductions and pair updates of one
-    call share one _WORK_BUDGET, so an input whose basis is slow to reach
-    raises BudgetExceededError.
+    Normal selection strategy (smallest lcm degree first).  Each new element
+    pairs with every earlier one, and the chain criterion of Gebauer and
+    Moeller runs on these new pairs only; pairs already pending are never
+    rescanned, and the final _reduce_basis drops the elements whose lead
+    another lead divides.  Each surviving remainder is fully reduced, so its
+    lead strictly enlarges the initial ideal and termination follows from
+    Dickson's lemma.  The reductions and pair updates of one call share one
+    _WORK_BUDGET, so an input whose basis is slow to reach raises
+    BudgetExceededError.
     """
     G: list = []
     masks: list = []
     work = [0]  # against _WORK_BUDGET
-    active: list = []  # indices of elements that still form new pairs
-    pairs: list = []  # heap of (lcm degree, lcm key, i, j, lcm, lcm mask)
+    pairs: list = []  # heap of (lcm degree, lcm key, i, j)
 
-    def update(h):
-        """Gebauer-Moeller update for the new element G[h]."""
-        lead_h, tail_h = G[h]
-        mask_h = masks[h]
-        # checked by the next reduction
-        work[0] += _UPDATE_COST * (len(active) + len(pairs))
+    def add(elem):
+        h = len(G)
+        lead_h, tail_h = elem
+        mask_h = _mask(lead_h)
+        work[0] += _UPDATE_COST * h  # checked by the next reduction
         # chain criterion on the new pairs.  A pair with a zero S-polynomial
         # (coprime leads, or two monomials) is never reduced but still
         # witnesses the pairs whose lcm its own lcm divides; sorting puts
         # divisors first and, among equal lcms, the zero pairs first
         new = []
-        for i in active:
-            lead_i, tail_i = G[i]
+        for i, ((lead_i, tail_i), mask_i) in enumerate(zip(G, masks)):
             lcm = tuple(map(max, lead_i, lead_h))
-            zero = (tail_i is None and tail_h is None) or not masks[i] & mask_h
-            new.append((order.degree(lcm), not zero, lcm, masks[i] | mask_h, i))
+            zero = (tail_i is None and tail_h is None) or not mask_i & mask_h
+            new.append((order.degree(lcm), not zero, lcm, mask_i | mask_h, i))
         new.sort(key=itemgetter(0, 1))
-        # an old pair (i, j) is redundant when lead_h divides its lcm and
-        # neither lcm(i, h) nor lcm(j, h) equals it
-        kept = []
-        for p in pairs:
-            _, _, i, j, lcm, lm = p
-            if (
-                not mask_h & ~lm
-                and _divides(lead_h, lcm)
-                and tuple(map(max, G[i][0], lead_h)) != lcm
-                and tuple(map(max, G[j][0], lead_h)) != lcm
-            ):
-                continue
-            kept.append(p)
-        # a sublist of a heap need not be a heap
-        if len(kept) < len(pairs):
-            pairs[:] = kept
-            heapq.heapify(pairs)
         witnesses: list = []
         for deg, nonzero, lcm, lm, i in new:
             if nonzero and any(
@@ -224,17 +211,9 @@ def _buchberger_elems(elems, order):
                 continue
             witnesses.append((lcm, lm))
             if nonzero:
-                heapq.heappush(pairs, (deg, order.key(lcm), i, h, lcm, lm))
-        # an element whose lead lead_h divides forms no further pairs
-        active[:] = [
-            i for i in active if mask_h & ~masks[i] or not _divides(lead_h, G[i][0])
-        ]
-        active.append(h)
-
-    def add(elem):
+                heapq.heappush(pairs, (deg, order.key(lcm), i, h))
         G.append(elem)
-        masks.append(_mask(elem[0]))
-        update(len(G) - 1)
+        masks.append(mask_h)
 
     seed = [e for e in elems if e is not None]
     seed.sort(key=lambda e: order.key(e[0]))
@@ -244,7 +223,7 @@ def _buchberger_elems(elems, order):
             add(nf)
 
     while pairs:
-        _, _, i, j, _, _ = heapq.heappop(pairs)
+        _, _, i, j = heapq.heappop(pairs)
         s = _spoly(G[i], G[j])
         if s[0] == s[1]:
             continue
@@ -254,7 +233,7 @@ def _buchberger_elems(elems, order):
         if nf is not None:
             add(nf)
 
-    return _reduce_basis([G[i] for i in active], order, work)
+    return _reduce_basis(G, order, work)
 
 
 def _reduce_basis(G, order, work):
@@ -341,10 +320,6 @@ def ideal_equal(I: BinomialIdeal, J: BinomialIdeal, order: MonomialOrder) -> boo
     return buchberger(I, order).elements == buchberger(J, order).elements
 
 
-def _canonical_order(I: BinomialIdeal) -> MonomialOrder:
-    return MonomialOrder.grevlex(I.grading or standard_grading(I.num_vars))
-
-
 def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
     """(I : t_i^infty) for a graded ideal; i is a 0-based variable index.
 
@@ -402,10 +377,13 @@ def saturate_all(I: BinomialIdeal) -> BinomialIdeal:
 
 def is_lattice_ideal(I: BinomialIdeal) -> bool:
     """Computable restatement of the non-zero-divisor criterion: I is a
-    lattice ideal iff it equals its saturation by all the variables."""
+    lattice ideal iff it equals its saturation by all the variables.  The
+    saturation's generators are already its reduced basis under the weighted
+    grevlex order, so only I's basis is computed."""
     if I.grading is None:
         raise InvalidArgumentError("lattice-ideal test requires a graded ideal")
-    return ideal_equal(I, saturate_all(I), _canonical_order(I))
+    gens = saturate_all(I).gens
+    return buchberger(I, MonomialOrder.grevlex(I.grading)).elements == gens
 
 
 def lattice_ideal_generators(L: Lattice, grading: Grading) -> BinomialIdeal:
@@ -443,14 +421,15 @@ def is_complete_intersection(L: Lattice, bins, grading: Grading) -> bool:
     """True iff the candidate set generates I(L) and has rank(L) elements.
 
     Height of I(L) equals rank(L), so the count plus the ideal equality is
-    exactly the complete-intersection certificate.
+    exactly the complete-intersection certificate.  The generators of I(L)
+    are already its reduced basis under the weighted grevlex order.
     """
     bins = tuple(b for b in bins if not b.is_zero())
     if len(bins) != L.rank:
         return False
     candidate = BinomialIdeal(L.ambient_dim, bins, grading)
-    target = lattice_ideal_generators(L, grading)
-    return ideal_equal(candidate, target, MonomialOrder.grevlex(grading))
+    gens = lattice_ideal_generators(L, grading).gens
+    return buchberger(candidate, MonomialOrder.grevlex(grading)).elements == gens
 
 
 def toric_ideal_monomial_map(vs, homogenize_with_z: bool) -> BinomialIdeal:

@@ -184,11 +184,11 @@ def _block_subgraph(block_edges) -> Graph:
 
 
 def _edge_vectors(G: Graph) -> list[tuple[int, ...]]:
-    if G.isolated_vertices():
-        raise InvalidArgumentError("graph has isolated vertices")
+    """Characteristic vectors on the vertices the edges touch: X depends on
+    the edge set alone, so isolated vertices are dropped."""
     if not G.edges:
         raise InvalidArgumentError("graph has no edges")
-    return characteristic_vectors(G)
+    return characteristic_vectors(_block_subgraph(G.edges))
 
 
 def edge_point_set(G: Graph, field: PrimeField) -> PointSet:
@@ -205,11 +205,10 @@ def edge_regularity(G: Graph, field: PrimeField) -> int:
 
 def reg_bipartite_blocks(G: Graph, field: PrimeField) -> int:
     """Regularity of the edge point set of a bipartite graph as the sum of
-    the block regularities plus (q-2)(c-1)."""
+    the block regularities plus (q-2)(c-1).  Isolated vertices lie in no
+    block and change nothing."""
     if bipartition(G) is None:
         raise PreconditionError("graph is not bipartite")
-    if G.isolated_vertices():
-        raise PreconditionError("graph has isolated vertices")
     dec = blocks(G)
     parts = [edge_regularity(_block_subgraph(b), field) for b in dec.blocks]
     return additive_regularity(parts, field.p - 1)
@@ -239,4 +238,4 @@ def reg_colon_method(G: Graph, field: PrimeField) -> int:
     initial ideal (``vanishing_ideal_series``).  No character is counted,
     so this route cross-checks ``edge_regularity``.
     """
-    return vanishing_ideal_series(field, characteristic_vectors(G))[2]
+    return vanishing_ideal_series(field, _edge_vectors(G))[2]

@@ -6,7 +6,17 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
-from .errors import InternalError, InvalidArgumentError, InvalidSemigroupError
+from .errors import (
+    BudgetExceededError,
+    InternalError,
+    InvalidArgumentError,
+    InvalidSemigroupError,
+)
+
+# steps m * k the table of least elements per residue mod m may take for k
+# generators, checked before its m entries are allocated: at the budget the
+# table takes 1.5-1.8 s and 120-140 MB, and past it memory grows with m
+_APERY_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -38,8 +48,15 @@ def _least_per_residue(gens, m):
     residues split into gcd(g, m) cycles r, r + g, r + 2g, ... mod m; walk
     each cycle once, from its least known value, relaxing dist[r + g] by
     dist[r] + g.  Nothing in a cycle lies below its start, so one walk
-    finishes it, and the whole table costs O(m) per generator.
+    finishes it, and the whole table costs O(m) per generator.  Raises
+    BudgetExceededError when m times the number of generators passes
+    _APERY_BUDGET.
     """
+    if m * len(gens) > _APERY_BUDGET:
+        raise BudgetExceededError(
+            f"Apery table of {m} residues and {len(gens)} generators passes "
+            f"{_APERY_BUDGET} steps"
+        )
     dist = [None] * m
     dist[0] = 0
     for g in gens:

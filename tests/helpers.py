@@ -410,20 +410,45 @@ def elimination_vanishing_ideal(vs, q):
     return buchberger(J, MonomialOrder.grevlex(standard_grading(s))).elements
 
 
-def saturated_lattice_vanishing_ideal(vs, q):
-    """Generators of I(X) as I(L), L = {a : sum a_i = 0, V a = 0 mod (q-1)},
-    by saturating the lattice-basis binomials by every variable in turn."""
+def curve_pipeline(d):
+    """(reg, deg) of the homogenized monomial curve of exponents d by the
+    general route: kernel lattice -> homogenize -> lattice ideal ->
+    Groebner -> Hilbert -> regularity and degree."""
     from latreg.binomial_gb import lattice_ideal_generators
-    from latreg.ring_core import standard_grading
+    from latreg.hilbert import degree_dim1_standard, hilbert_table, ideal_hilbert, reg_cm
+    from latreg.intlat import homogenize_lattice
+    from latreg.ring_core import MonomialOrder, standard_grading
 
+    s = len(d)
+    L = kernel_lattice([d])
+    D = homogenize_lattice(L, Grading(d))
+    std = standard_grading(s)
+    I = lattice_ideal_generators(D, std)
+    F = ideal_hilbert(I, MonomialOrder.grevlex(std), std)
+    return reg_cm(F, s - 1), degree_dim1_standard(hilbert_table(F))
+
+
+def vanishing_lattice_rows(vs, q):
+    """A basis of L = {a : sum a_i = 0, V a = 0 mod (q-1)}, V the matrix with
+    columns v_i: the projection of a kernel basis, as
+    ``vanishing_ideal_finite_field`` builds it."""
     s, n = len(vs), len(vs[0])
     rows = [(1,) * s + (0,) * n]
     for j in range(n):
         rows.append(
             tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
         )
-    L = Lattice(s, [row[:s] for row in kernel_lattice(rows).basis])
-    return lattice_ideal_generators(L, standard_grading(s)).gens
+    return [row[:s] for row in kernel_lattice(rows).basis]
+
+
+def saturated_lattice_vanishing_ideal(vs, q):
+    """Generators of I(X) as I(L), L = {a : sum a_i = 0, V a = 0 mod (q-1)},
+    by saturating the lattice-basis binomials by every variable in turn."""
+    from latreg.binomial_gb import lattice_ideal_generators
+    from latreg.ring_core import standard_grading
+
+    L = Lattice(len(vs), vanishing_lattice_rows(vs, q))
+    return lattice_ideal_generators(L, standard_grading(len(vs))).gens
 
 
 def smallest_pivot_numerator(gens, d):

@@ -9,7 +9,7 @@ import random
 import time
 from math import gcd
 
-from helpers import frobenius_oracle, random_homogeneous_lattice
+from helpers import curve_pipeline, frobenius_oracle, random_homogeneous_lattice
 from latreg.binomial_gb import (
     BinomialIdeal,
     buchberger,
@@ -77,18 +77,6 @@ from latreg.ring_core import (
 C4 = graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 C6 = graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
 TWO_C4 = graph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (5, 6), (6, 7), (4, 7)])
-
-
-def curve_pipeline(d):
-    """Independent route: kernel lattice -> homogenize -> lattice ideal ->
-    Groebner -> Hilbert -> regularity and degree."""
-    s = len(d)
-    L = kernel_lattice([d])
-    D = homogenize_lattice(L, Grading(d))
-    std = standard_grading(s)
-    I = lattice_ideal_generators(D, std)
-    F = ideal_hilbert(I, MonomialOrder.grevlex(std), std)
-    return reg_cm(F, s - 1), degree_dim1_standard(hilbert_table(F))
 
 
 def seeded_lattices(n=20, seed=2024):

@@ -32,6 +32,22 @@ def test_frobenius_domain_error(capsys):
     assert err.startswith("invalid-semigroup")
 
 
+def test_apery_budget(capsys):
+    # the table of least elements per residue would have 10^12 entries; the
+    # curve (1000003, 1000033) needs 2,000,006 steps and still answers
+    start = time.perf_counter()
+    code, out, err = run(capsys, "frobenius", "1000000000000", "1000000000001")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "budget-exceeded: Apery table of 1000000000000 residues and 2 generators"
+        " passes 4000000 steps\n"
+    )
+    assert run(capsys, "mcurve", "1000003", "1000033") == (
+        0, "reg=1000036000098 deg=1000036000099\n", ""
+    )
+
+
 def test_usage_error(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
@@ -284,10 +300,16 @@ def test_graph_reg(tmp_path, capsys):
     for method in ("oracle", "colon"):
         argv = ["graph-reg", "--q", "3", "--method", method, str(tri)]
         assert run(capsys, *argv) == (0, "reg=2\n", "")
+    # an isolated vertex changes nothing: X depends on the edges alone
     iso = tmp_path / "iso.json"
     iso.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
-    code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(iso))
-    assert code == 1 and err == "invalid-argument: graph has isolated vertices\n"
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
+    for method in ("blocks", "oracle", "colon"):
+        argv = ["graph-reg", "--q", "3", "--method", method]
+        assert run(capsys, *argv, str(iso)) == run(capsys, *argv, str(edge)) == (
+            0, "reg=0\n", ""
+        )
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"n": 0, "edges": []}))
     code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(empty))
@@ -396,13 +418,13 @@ def test_pure_powers_reduce_in_one_subtraction(capsys):
 
 
 def test_groebner_work_budget(capsys, monkeypatch):
-    # this basis takes 7394 units of work; the input grows past any budget
-    # with q (at q = 10007 it gives up after 80M units)
+    # this basis takes 14664 units of work; the input grows past any budget
+    # with q (at q = 10007 it gives up after 150M units)
     argv = ["vanish", "--q", "11", "--monomials", "[[2,0],[0,3],[1,1],[1,2]]", "--ideal"]
-    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 7394)
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 14664)
     assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 7393)
-    err = "budget-exceeded: Groebner basis computation passes 7393 units of work\n"
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 14663)
+    err = "budget-exceeded: Groebner basis computation passes 14663 units of work\n"
     assert run(capsys, *argv) == (1, "", err)
 
 

@@ -21,10 +21,12 @@ from helpers import (
     saturated_lattice_vanishing_ideal,
     smallest_pivot_numerator,
     sumset_table,
+    vanishing_lattice_rows,
 )
 from latreg.binomial_gb import (
     BinomialIdeal,
     _buchberger_elems,
+    _short_row,
     saturate_all,
     saturate_variable,
     vanishing_ideal_finite_field,
@@ -44,7 +46,13 @@ from latreg.graphblocks import (
     reg_colon_method,
 )
 from latreg.hilbert import monomial_hilbert
-from latreg.ring_core import Binomial, Grading, MonomialOrder, split_parts
+from latreg.ring_core import (
+    Binomial,
+    Grading,
+    MonomialOrder,
+    split_parts,
+    standard_grading,
+)
 
 
 def _lattice_inputs(seed, count):
@@ -67,6 +75,33 @@ def _orders(d, rng):
     ]
 
 
+def _colon_seed_inputs():
+    """The seeds J of vanishing_ideal_finite_field (the lattice rows after
+    _short_row, plus t_i^{q-1} - t_s^{q-1}) for C4, C6 and K23 at q = 3, 5
+    and K33 and the domino at q = 3.  Their bases reach 33 elements, where
+    those of the random lattices stay small and the pair criteria rarely
+    fire."""
+    C4 = graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    C6 = graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    K23 = graph(5, [(a, b) for a in (1, 2) for b in (3, 4, 5)])
+    K33 = graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+    domino = graph(6, [(1, 2), (2, 3), (4, 5), (5, 6), (1, 4), (2, 5), (3, 6)])
+    out = []
+    for G, q in [
+        (C4, 3), (C4, 5), (C6, 3), (C6, 5), (K23, 3), (K23, 5), (K33, 3), (domino, 3)
+    ]:
+        vs = characteristic_vectors(G)
+        s = len(vs)
+        order = MonomialOrder.grevlex(standard_grading(s))
+        rows = [_short_row(row, q - 1) for row in vanishing_lattice_rows(vs, q)]
+        elems = [orient(order, *split_parts(row)) for row in rows]
+        top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
+        for i in range(s - 1):
+            elems.append(orient(order, tuple(q - 1 if k == i else 0 for k in range(s)), top))
+        out.append((elems, order))
+    return out
+
+
 def test_core_matches_coprime_reference():
     checked = 0
     for gens, d, rng in _lattice_inputs(11, 36):
@@ -79,7 +114,10 @@ def test_core_matches_coprime_reference():
             mixed = elems + [(m, None) for m in monos if any(m)]
             assert _buchberger_elems(mixed, order) == reference_buchberger(mixed, order)
             checked += 1
-    assert checked == 108
+    for elems, order in _colon_seed_inputs():
+        assert _buchberger_elems(elems, order) == reference_buchberger(elems, order)
+        checked += 1
+    assert checked == 116
 
 
 def test_single_pass_saturation_matches_fixpoint():

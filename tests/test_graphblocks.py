@@ -12,7 +12,7 @@ from latreg.binomial_gb import (
     vanishing_ideal_finite_field,
 )
 from latreg import ffvanish
-from latreg.errors import BudgetExceededError, InvalidArgumentError, PreconditionError
+from latreg.errors import BudgetExceededError, PreconditionError
 from latreg.ffvanish import PrimeField, regularity_points
 from latreg.graphblocks import (
     bipartition,
@@ -143,8 +143,7 @@ def test_edge_point_set_examples():
     assert X.points == ((1,),)
     assert len(edge_point_set(C4, F3)) == 4
     assert len(edge_point_set(C4, F5)) == 16
-    with pytest.raises(InvalidArgumentError):
-        edge_point_set(graph(3, [(1, 2)]), F3)
+    assert edge_point_set(graph(3, [(1, 2)]), F3) == X
 
 
 def test_reg_blocks_examples():

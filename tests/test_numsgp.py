@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 from helpers import frobenius_oracle
-from latreg.errors import InvalidArgumentError, InvalidSemigroupError
+from latreg import numsgp
+from latreg.errors import BudgetExceededError, InvalidArgumentError, InvalidSemigroupError
 from latreg.numsgp import NumericalSemigroup, apery_set, frobenius_number, membership
 
 
@@ -83,6 +84,21 @@ def test_apery_gives_frobenius():
 def test_apery_rejects_non_elements():
     with pytest.raises(InvalidArgumentError):
         apery_set(NumericalSemigroup((3, 5)), 4)
+
+
+def test_apery_budget(monkeypatch):
+    # one table of m residues for k generators costs m * k steps: (6, 9, 20)
+    # modulo 6 takes 18, and modulo 9 (for apery_set) takes 27
+    S = NumericalSemigroup((6, 9, 20))
+    monkeypatch.setattr(numsgp, "_APERY_BUDGET", 18)
+    assert frobenius_number(S) == 43
+    assert membership(S, 29) and not membership(S, 43)
+    with pytest.raises(BudgetExceededError, match="passes 18 steps"):
+        apery_set(S, 9)
+    monkeypatch.setattr(numsgp, "_APERY_BUDGET", 17)
+    for call in (lambda: frobenius_number(S), lambda: membership(S, 29)):
+        with pytest.raises(BudgetExceededError, match="6 residues and 3 generators"):
+            call()
 
 
 def test_membership_examples():

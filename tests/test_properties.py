@@ -14,6 +14,7 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from helpers import (  # noqa: E402
     closed_under_products,
+    curve_pipeline,
     naive_point_rank,
     saturated_lattice_vanishing_ideal,
 )
@@ -27,15 +28,23 @@ from latreg.ffvanish import (  # noqa: E402
     parameterized_hilbert_table,
     point_set,
     subgroup_to_monomials,
+    vanishing_ideal_series,
 )
 from latreg.graphblocks import edge_regularity, graph, reg_colon_method  # noqa: E402
+from latreg.hilbert import degree_dim1_standard, hilbert_table  # noqa: E402
 from latreg.intlat import (  # noqa: E402
     Lattice,
     kernel_lattice,
     saturate_lattice,
     smith_invariants,
 )
-from latreg.invariants import TorusSpec, degenerate_torus_invariants  # noqa: E402
+from latreg.invariants import (  # noqa: E402
+    TorusSpec,
+    curve_spec,
+    degenerate_torus_invariants,
+    mcurve_degree,
+    mcurve_regularity,
+)
 from latreg.ring_core import Binomial, parse_binomial, render_binomial  # noqa: E402
 
 
@@ -64,10 +73,24 @@ def test_one_variable_colon_is_full_saturation(case):
     st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
 )
 def test_torus_table_matches_frobenius_closed_form(v, q):
-    # reg and |X| of the character search against the monomial-curve
-    # formulas on the derived weights (q-1)/gcd(v_i, q-1)
-    table = parameterized_hilbert_table(PrimeField(q), degenerate_torus_vectors(v))
-    assert (len(table) - 1, table[-1]) == degenerate_torus_invariants(TorusSpec(q, v))
+    # reg and |X| of the character search, and reg and degree read off the
+    # Groebner basis of I(X), against the monomial-curve formulas on the
+    # derived weights (q-1)/gcd(v_i, q-1)
+    field, vs = PrimeField(q), degenerate_torus_vectors(v)
+    want = degenerate_torus_invariants(TorusSpec(q, v))
+    table = parameterized_hilbert_table(field, vs)
+    assert (len(table) - 1, table[-1]) == want
+    _, F, reg = vanishing_ideal_series(field, vs)
+    assert (reg, degree_dim1_standard(hilbert_table(F))) == want
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+def test_mcurve_closed_forms_match_the_lattice_pipeline(d):
+    # r g(S) + 1 + sum (d_i - 1) and d_1 ... d_s / r against the Hilbert
+    # series of the homogenized lattice ideal of the curve
+    spec = curve_spec(d)
+    assert curve_pipeline(d) == (mcurve_regularity(spec), mcurve_degree(spec))
 
 
 @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
