@@ -12,14 +12,20 @@ Useless S-pairs are skipped by the Gebauer-Moeller chain criterion, applied
 to the pairs of each new element only, and saturation by a variable takes a
 single Groebner basis (Bayer-Stillman), so
 ``lattice_ideal_generators`` costs one basis per variable.
-``vanishing_ideal_finite_field`` costs one basis: adding the powers
-t_i^{q-1} - t_s^{q-1} reduces its saturation to one variable.
+
+The vanishing ideal of a set X parameterized by monomials over F_q needs no
+basis at all when X is small enough: ``vanishing_ideal_finite_field`` reads
+its reduced basis and its Hilbert table off one breadth-first walk over the
+characters of X, packed into ints as the point side packs them
+(``_packed_steps``).  Past the walk budget it costs one basis: adding the
+powers t_i^{q-1} - t_s^{q-1} reduces its saturation to one variable.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter, le
 
 from .errors import (
@@ -475,31 +481,169 @@ def _short_row(a, m):
     return out
 
 
+# work the walk over the characters of X may take before
+# vanishing_ideal_finite_field takes the colon J : t_s^infty instead: its
+# (s-1)|X| steps, each charged one unit per 64-bit word of a packed
+# character or monomial.  Above the 589,824 of C10 at q = 5 (0.7 s).  The
+# costliest walk within it moves one class per layer: the cyclic X of
+# vanish --q 599999 --monomials '[[1],[2]]' --ideal takes 2.1-2.6 s and
+# peaks at 98 MB in-process on a 2-core host
+_WALK_BUDGET = 600_000
+
+
+def _packed_steps(m, steps, n):
+    """Residues mod m in n coordinates packed into one int each, and the
+    successor map of the steps on them.
+
+    A coordinate takes k+1 bits with 2^k > 2m - 1: a coordinate sum of two
+    residues stays below 2^k, and after adding 2^k - m its guard bit 2^k is
+    set exactly when the sum needs m subtracted.  Returns the width (k+1) n
+    of a packed character in bits, and the map sending a packed character x
+    to the list of packed x + u mod m over the steps u, in order.
+    """
+    k = (2 * m - 1).bit_length()
+    shifts = [(k + 1) * j for j in range(n)]
+    C = sum(((1 << k) - m) << f for f in shifts)
+    H = sum(1 << (k + f) for f in shifts)
+    U = [sum((x % m) << f for x, f in zip(u, shifts)) for u in steps]
+
+    def successors(x):
+        return [(t := x + u) - (((t + C) & H) >> k) * m for u in U]
+
+    return (k + 1) * n, successors
+
+
+def _subgroup(m, vectors, n):
+    """The Hermite basis of the lattice spanned by the vectors and m Z^n,
+    and the order m^n / prod(pivots) of the subgroup of (Z/m)^n that the
+    vectors generate."""
+    torus = [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]
+    basis = Lattice(n, list(vectors) + torus).basis
+    return basis, m**n // prod(h[i] for i, h in enumerate(basis))
+
+
+def _character_walk(vs, q):
+    """The Hilbert table H_X(0), ..., H_X(reg) and I(X), by one
+    breadth-first walk over the characters of X; None when its (s-1)|X|
+    steps, each charged per 64-bit word of a packed character or monomial,
+    would pass _WALK_BUDGET.  The generators of I(X) are its reduced basis
+    under the standard grevlex order, lead first and sorted by lead, as
+    ``saturate_variable`` gives them.
+
+    With m = q-1 and the steps u_i = v_i - v_s mod m, i < s, the degree-d
+    monomial t^a is the character sum_{i<s} a_i u_i of X (its class), and
+    distinct classes are linearly independent on X.  t_s is a nonzerodivisor
+    and comes last in grevlex, so no lead of the basis contains it
+    (Bayer-Stillman), and the standard monomials of degree d are the
+    t_s^{d-e} r for the t_s-free standard monomials r of degree e <= d:
+    one per class first reached in e steps, the least of degree e in it.
+    Layer d holds these classes for e = d with their representatives r,
+    and each r t_i, r in layer d-1, i < s, lies in class c + u_i:
+
+    * the least r t_i of a class not reached before is its representative;
+    * any other r t_i whose divisors r t_i / t_j, j < s, are all
+      representatives in layer d-1 is a minimal generator of in(I(X)),
+      with tail rep(c') t_s^{d - deg rep(c')} for its class c'.
+
+    The walk stops after the first layer that reaches no new class,
+    d = reg + 1, past which no minimal generator lies.  The steps are not
+    deduplicated: a zero or repeated step gives t_i - t_s or t_i - t_j.
+
+    A monomial in t_1, ..., t_{s-1} is packed into one int, t_1 in the
+    lowest field; its exponents stay at most m, since t_i^m - t_s^m lies in
+    I(X).  Among monomials of one degree the larger int is then the smaller
+    in grevlex, and a monomial r t_i is formed once for each t_j dividing
+    it with r t_i / t_j a representative, so it has all its divisors there
+    exactly when it is formed as often as its support is large.  X has
+    m^n / prod(pivots) elements (``_subgroup``), and the walk takes s-1
+    steps from each, so its cost is known before it starts.
+    """
+    m, s, n = q - 1, len(vs), len(vs[0])
+    steps = [tuple(a - b for a, b in zip(v, vs[-1])) for v in vs[:-1]]
+    bits, successors = _packed_steps(m, steps, n)
+    w = m.bit_length()
+    words = -(-max(bits, (s - 1) * w) // 64)
+    if (s - 1) * _subgroup(m, steps, n)[1] * words > _WALK_BUDGET:
+        return None
+    moves = [(1 << (w * i), 1 << i) for i in range(s - 1)]
+    reps = {0: 0}  # class -> packed representative
+    frontier = [(0, 0, 0)]  # (class, packed representative, support mask)
+    table = [1]
+    found = []  # (packed lead, its class)
+    while True:
+        formed = {}  # packed monomial -> [class, times formed, support mask]
+        for c, r, supp in frontier:
+            for y, (one, bit) in zip(successors(c), moves):
+                f = formed.get(r + one)
+                if f is None:
+                    formed[r + one] = [y, 1, supp | bit]
+                else:
+                    f[1] += 1
+        new = {}
+        full = []  # formed once per divisor, in a class first reached here
+        for M, (y, times, supp) in formed.items():
+            if y not in reps:
+                if M > new.get(y, 0):
+                    new[y] = M
+                if times == supp.bit_count():
+                    full.append((M, y))
+            elif times == supp.bit_count():
+                found.append((M, y))
+        found += [(M, y) for M, y in full if new[y] != M]
+        if not new:
+            break
+        reps.update(new)
+        frontier = [(y, M, formed[M][2]) for y, M in new.items()]
+        table.append(len(reps))
+
+    def unpack(M):
+        return tuple((M >> (w * i)) & ((1 << w) - 1) for i in range(s - 1))
+
+    grading = standard_grading(s)
+    order = MonomialOrder.grevlex(grading)
+    gens = []
+    for M, y in found:
+        lead, rep = unpack(M), unpack(reps[y])
+        gens.append(Binomial(lead + (0,), rep + (sum(lead) - sum(rep),)))
+    gens.sort(key=lambda g: order.key(g.plus))
+    return table, BinomialIdeal(s, tuple(gens), grading)
+
+
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     """Vanishing ideal I(X) of the set parameterized by y^{v_1},...,y^{v_s}
     over the prime field F_q.
 
     I(X) is the lattice ideal I(L) of L = {a : sum a_i = 0, V a = 0 mod
     (q-1)}, V the matrix with columns v_i (Renteria-Simis-Villarreal), so
-    the result is a graded lattice ideal of dimension 1.  L is the
-    projection onto the first s coordinates of ker [[1...1 | 0],
-    [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
-    basis.
-
-    Let J be generated by t_i^{q-1} - t_s^{q-1} for i < s, all in I(L)
-    since (q-1)(e_i - e_s) lies in L, and by the binomials of the basis
-    rows reduced modulo these vectors (``_short_row``).  The reduced rows
-    and the (q-1)(e_i - e_s) still generate L, and their binomials have
-    degree at most about s(q-1)/2, where a raw basis row can be far longer.
-    So I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1} equals
-    t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
-    I(X) = J : t_s^infty, one saturation by one variable.  Its generators
+    the result is a graded lattice ideal of dimension 1.  Its generators
     are the reduced basis under the standard grevlex order, which depends
-    on the ideal alone, not on J's generators.
+    on the ideal alone.  Within the walk budget they are read off one walk
+    over the characters of X (``_character_walk``), with no Groebner basis
+    computed.
+
+    Otherwise, as when |X| is huge but the ideal small, I(X) is a colon.
+    L is the projection onto the first s coordinates of ker [[1...1 | 0],
+    [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
+    basis.  Let J be generated by t_i^{q-1} - t_s^{q-1} for i < s, all in
+    I(L) since (q-1)(e_i - e_s) lies in L, and by the binomials of the
+    basis rows reduced modulo these vectors (``_short_row``).  The reduced
+    rows and the (q-1)(e_i - e_s) still generate L, and their binomials
+    have degree at most about s(q-1)/2, where a raw basis row can be far
+    longer.  So I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1}
+    equals t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
+    I(X) = J : t_s^infty, one saturation by one variable.
     """
     if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
-    vs = exponent_vectors(vs)
+    return _vanishing_ideal(exponent_vectors(vs), q)[1]
+
+
+def _vanishing_ideal(vs, q):
+    """The Hilbert table of X and I(X) off ``_character_walk`` within its
+    budget; past it None and I(X) by the colon J : t_s^infty."""
+    walk = _character_walk(vs, q)
+    if walk is not None:
+        return walk
     s = len(vs)
     n = len(vs[0])
     rows = [(1,) * s + (0,) * n]
@@ -512,7 +656,9 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
     for i in range(s - 1):
         gens.append(Binomial(tuple(q - 1 if k == i else 0 for k in range(s)), top))
-    return saturate_variable(BinomialIdeal(s, tuple(gens), standard_grading(s)), s - 1)
+    return None, saturate_variable(
+        BinomialIdeal(s, tuple(gens), standard_grading(s)), s - 1
+    )
 
 
 def initial_ideal_with_monomials(

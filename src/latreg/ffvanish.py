@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm
 
 from . import hilbert
-from .binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
+from .binomial_gb import BinomialIdeal, _packed_steps, _subgroup, _vanishing_ideal
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -31,8 +31,8 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedFieldError,
 )
-from .hilbert import HilbertSeries, monomial_hilbert, reg_cm
-from .intlat import Lattice, Matrix, is_prime
+from .hilbert import HilbertSeries, monomial_hilbert, poly_mul, reg_cm
+from .intlat import Matrix, is_prime
 from .ring_core import exponent_vectors, standard_grading
 
 
@@ -143,42 +143,35 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     and the table stops at reg, the first d whose next layer is empty, i.e.
     with H_X(d) = H_X(d+1); its last entry is |X|.
 
-    A character is packed into one int, k+1 bits per coordinate with
-    2^k > 2(p-1) - 1: a coordinate sum stays below 2^k, and after adding
-    2^k - (p-1) its guard bit 2^k is set exactly when the sum needs p-1
-    subtracted.  The search forms exactly |X| |U| sums, and |X| is at least
-    the order lcm_j (p-1)/gcd(u_j, p-1) of any u in U.  A sum of packed
-    characters costs one step per 64-bit word, w = ceil((k+1) n / 64) of
-    them, so the budget is charged w per sum: BudgetExceededError is raised
-    before the first layer when w times that order times |U| passes
-    _SUMSET_BUDGET, and otherwise once w times the sums formed would.
+    A character is packed into one int (``binomial_gb._packed_steps``), k+1
+    bits per coordinate with 2^k > 2(p-1) - 1.  The search forms exactly
+    |X| |U| sums, and |X| is at least the order lcm_j (p-1)/gcd(u_j, p-1)
+    of any u in U.  A sum of packed characters costs one step per 64-bit
+    word, w = ceil((k+1) n / 64) of them, so the budget is charged w per
+    sum: BudgetExceededError is raised before the first layer when w times
+    that order times |U| passes _SUMSET_BUDGET, and otherwise once w times
+    the sums formed would.
     """
     vs = _parameterization(field, vs)
     m = field.p - 1
-    k = (2 * m - 1).bit_length()
-    shifts = [(k + 1) * j for j in range(len(vs[0]))]
-    C = sum(((1 << k) - m) << f for f in shifts)
-    H = sum(1 << (k + f) for f in shifts)
     w0 = vs[0]
     diffs = {tuple((a - b) % m for a, b in zip(w, w0)) for w in vs} - {(0,) * len(w0)}
-    U = {sum(x << f for x, f in zip(u, shifts)) for u in diffs}
+    bits, successors = _packed_steps(m, list(diffs), len(w0))
     order = max((lcm(*(m // gcd(x, m) for x in u)) for u in diffs), default=1)
-    words = -(-(k + 1) * len(w0) // 64)
+    words = -(-bits // 64)
     seen = {0}
     frontier = [0]
     table = [1]
     formed = 0
     while True:
-        formed += len(frontier) * len(U)
-        if max(formed, order * len(U)) * words > _SUMSET_BUDGET:
+        formed += len(frontier) * len(diffs)
+        if max(formed, order * len(diffs)) * words > _SUMSET_BUDGET:
             raise BudgetExceededError(
                 f"character sumset needs more than {_SUMSET_BUDGET} sums"
             )
         layer = []
         for x in frontier:
-            for u in U:
-                t = x + u
-                y = t - (((t + C) & H) >> k) * m
+            for y in successors(x):
                 if y not in seen:
                     seen.add(y)
                     layer.append(y)
@@ -194,15 +187,23 @@ def vanishing_ideal_series(
     """I(X), the Hilbert series of S/in(I(X)), and reg S/I(X) for X
     parameterized by y^{v_1}, ..., y^{v_s}.
 
-    S/I(X) is Cohen-Macaulay of dimension 1 with the Hilbert series of
-    S/in(I(X)), so reg is read off that series and no character is counted.
     t_i^{p-1} - t_s^{p-1} lies in I(X) and t_s divides no lead of its basis,
     so deg lcm(in I(X)) <= (s-1)(p-1), which bounds the numerator and reg.
     BudgetExceededError is raised before the ideal is built when (s-1)(p-1)
     passes the numerator budget of ``hilbert``.  On a curve with distinct
     steps (n = 1, |X| = p-1, |U| = s-1) the character search forms the same
-    number of sums against an equal budget, so both routes give up on the
-    same curves.
+    number of sums against an equal budget, so both give up on the same
+    curves.
+
+    Within the walk budget of ``binomial_gb``, I(X) and the Hilbert table
+    H_X(0), ..., H_X(reg) come off one walk over the characters of X.
+    S/I(X) is Cohen-Macaulay of dimension 1, so its series is h(t)/(1-t)
+    for the first differences h of the table, the numerator over (1-t)^s
+    is h(t) (1-t)^{s-1}, and reg is the length of the table less one.
+    Past the walk budget, I(X) is the colon of
+    ``vanishing_ideal_finite_field`` and the series that of its leads, with
+    no character counted: |X| can be huge where the ideal is small.  Both
+    routes are chosen and run by ``binomial_gb._vanishing_ideal``.
     """
     vs = _parameterization(field, vs)
     s = len(vs)
@@ -211,9 +212,14 @@ def vanishing_ideal_series(
         raise BudgetExceededError(
             f"vanishing ideal degree bound (s-1)(q-1) passes {budget}"
         )
-    I = vanishing_ideal_finite_field(vs, field.p)
-    F = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
-    return I, F, reg_cm(F, s - 1)
+    grading = standard_grading(s)
+    table, I = _vanishing_ideal(vs, field.p)
+    if table is None:
+        F = monomial_hilbert([g.plus for g in I.gens], grading)
+        return I, F, reg_cm(F, s - 1)
+    h = [b - a for a, b in zip([0] + table, table)]
+    one_minus_t = [(-1) ** j * comb(s - 1, j) for j in range(s)]
+    return I, HilbertSeries(poly_mul(h, one_minus_t), grading), len(table) - 1
 
 
 def _prod_mod(factors, p):
@@ -323,8 +329,8 @@ def _log_lattice(X: PointSet) -> tuple[Matrix, int] | None:
     a generator of mu_m, the normalized points (x_1, ..., x_n, 1), n = s-1,
     are distinct vectors of (Z/m)^n, and together with m Z^n they span a
     lattice L whose image L / m Z^n is the group that X generates.  That
-    group has m^n / prod(pivots of L) elements, so X is a subgroup iff
-    |X| prod(pivots) = m^n.
+    group has m^n / prod(pivots of L) elements (``binomial_gb._subgroup``),
+    so X is a subgroup iff it has |X| of them.
     """
     p, size = X.field.p, len(X)
     m = gcd(size, p - 1)
@@ -334,9 +340,8 @@ def _log_lattice(X: PointSet) -> tuple[Matrix, int] | None:
     log = {pow(g, k, p): k for k in range(m)}
     n = X.num_coords - 1
     logs = [tuple(log[x] for x in pt[:n]) for pt in X.points]
-    torus = [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]
-    basis = Lattice(n, logs + torus).basis
-    if size * prod(h[i] for i, h in enumerate(basis)) != m**n:
+    basis, order = _subgroup(m, logs, n)
+    if order != size:
         return None
     return basis, m
 

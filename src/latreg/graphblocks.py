@@ -183,12 +183,17 @@ def _block_subgraph(block_edges) -> Graph:
     return graph(len(verts), [(relabel[u], relabel[v]) for u, v in block_edges])
 
 
-def _edge_vectors(G: Graph) -> list[tuple[int, ...]]:
-    """Characteristic vectors on the vertices the edges touch: X depends on
-    the edge set alone, so isolated vertices are dropped."""
+def _edge_subgraph(G: Graph) -> Graph:
+    """G without its isolated vertices: X depends on the edge set alone, so
+    every method drops them, and refuses only a graph with no edges."""
     if not G.edges:
         raise InvalidArgumentError("graph has no edges")
-    return characteristic_vectors(_block_subgraph(G.edges))
+    return _block_subgraph(G.edges)
+
+
+def _edge_vectors(G: Graph) -> list[tuple[int, ...]]:
+    """Characteristic vectors on the vertices the edges touch."""
+    return characteristic_vectors(_edge_subgraph(G))
 
 
 def edge_point_set(G: Graph, field: PrimeField) -> PointSet:
@@ -207,6 +212,7 @@ def reg_bipartite_blocks(G: Graph, field: PrimeField) -> int:
     """Regularity of the edge point set of a bipartite graph as the sum of
     the block regularities plus (q-2)(c-1).  Isolated vertices lie in no
     block and change nothing."""
+    G = _edge_subgraph(G)
     if bipartition(G) is None:
         raise PreconditionError("graph is not bipartite")
     dec = blocks(G)
@@ -216,7 +222,8 @@ def reg_bipartite_blocks(G: Graph, field: PrimeField) -> int:
 
 def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
     """((|V_1|-1)(q-2), (|V_1|+|V_2|-2)(q-2)) for connected bipartite G with
-    |V_2| <= |V_1|."""
+    |V_2| <= |V_1|, once its isolated vertices are dropped."""
+    G = _edge_subgraph(G)
     if len(connected_components(G)) != 1:
         raise PreconditionError("graph is not connected")
     parts = bipartition(G)
@@ -228,14 +235,16 @@ def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
 
 
 def reg_colon_method(G: Graph, field: PrimeField) -> int:
-    """Regularity via the colon construction, on a Groebner basis, for any
-    graph.
+    """Regularity via the vanishing ideal I(X), for any graph
+    (``vanishing_ideal_series``).
 
-    I(X) = J : t_s^infty with J the binomials of the lattice-basis rows
-    reduced modulo the (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}
-    (``vanishing_ideal_finite_field``).  S/I(X) is Cohen-Macaulay of
-    dimension 1, so the regularity is read off the Hilbert series of its
-    initial ideal (``vanishing_ideal_series``).  No character is counted,
-    so this route cross-checks ``edge_regularity``.
+    Within the walk budget of ``binomial_gb``, I(X) and its Hilbert table
+    come off one walk over the characters of X, and reg is the depth of
+    that walk, as in ``edge_regularity``.  Past it, I(X) = J : t_s^infty
+    with J the binomials of the lattice-basis rows reduced modulo the
+    (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}
+    (``vanishing_ideal_finite_field``); S/I(X) is Cohen-Macaulay of
+    dimension 1, so reg is read off the Hilbert series of its initial
+    ideal, and no character is counted.
     """
     return vanishing_ideal_series(field, _edge_vectors(G))[2]

@@ -269,6 +269,40 @@ def test_vanish_ideal_reads_series_past_sumset_budget(capsys):
     ]
 
 
+def _cycle_vectors(n):
+    return json.dumps([[int(k in (i, (i + 1) % n)) for k in range(n)] for i in range(n)])
+
+
+def test_vanish_ideal_walk_budget_boundary(capsys, monkeypatch):
+    # C4 at q = 5: |X| = 16 and s-1 = 3, so the walk takes 48 steps; one
+    # unit less of budget takes the colon, and the answer does not change
+    argv = ["--json", "vanish", "--q", "5", "--monomials", _cycle_vectors(4), "--ideal"]
+    colons = []
+    saturate = binomial_gb.saturate_variable
+    monkeypatch.setattr(
+        binomial_gb, "saturate_variable", lambda *a: colons.append(a) or saturate(*a)
+    )
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 48)
+    walked = run(capsys, *argv)
+    assert not colons
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 47)
+    assert run(capsys, *argv) == walked
+    assert len(colons) == 1
+    obj = json.loads(walked[1])
+    assert (walked[0], obj["size"], obj["reg"]) == (0, 16, 3)
+
+
+def test_vanish_ideal_of_c10_by_the_walk(capsys):
+    # 9 |X| = 589,824 steps; the colon gives up on its work budget here
+    start = time.perf_counter()
+    argv = ["--json", "vanish", "--q", "5", "--monomials", _cycle_vectors(10), "--ideal"]
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["size"], obj["reg"], len(obj["ideal"])) == (4**8, 12, 385)
+
+
 def test_readme_cli_examples(capsys):
     # every `latreg ... # -> output` line of the README's CLI block
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -310,10 +344,15 @@ def test_graph_reg(tmp_path, capsys):
         assert run(capsys, *argv, str(iso)) == run(capsys, *argv, str(edge)) == (
             0, "reg=0\n", ""
         )
+    argv = ["graph-reg", "--q", "3", "--method", "bounds"]
+    assert run(capsys, *argv, str(iso)) == run(capsys, *argv, str(edge))
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"n": 0, "edges": []}))
     code, _, err = run(capsys, "graph-reg", "--q", "3", "--method", "oracle", str(empty))
     assert code == 1 and err == "invalid-argument: graph has no edges\n"
+    for method in ("blocks", "oracle", "colon", "bounds"):
+        argv = ["graph-reg", "--q", "3", "--method", method, str(empty)]
+        assert run(capsys, *argv) == (1, "", "invalid-argument: graph has no edges\n")
 
 
 def test_graph_reg_one_field_rule(tmp_path, capsys):
@@ -421,6 +460,8 @@ def test_groebner_work_budget(capsys, monkeypatch):
     # this basis takes 14664 units of work; the input grows past any budget
     # with q (at q = 10007 it gives up after 150M units)
     argv = ["vanish", "--q", "11", "--monomials", "[[2,0],[0,3],[1,1],[1,2]]", "--ideal"]
+    # within the walk budget I(X) is read off the characters with no basis
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
     monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 14664)
     assert run(capsys, *argv)[0] == 0
     monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 14663)

@@ -1,0 +1,120 @@
+"""Replay of a committed corpus of CLI calls: exit code, stdout and stderr
+must match byte for byte.
+
+The corpus, ``tests/data/cli_corpus.json``, holds ``vanish`` with and
+without ``--ideal`` on degenerate tori and on the edge vectors of C4, C6,
+K23 and K33 at q = 3, 5 and 7, and ``graph-reg`` with all four methods on
+small graphs (edgeless, with an isolated vertex, not bipartite), in text
+and in ``--json`` output.  A graph is stored by name with its call and
+written to a temporary file, whose path replaces the ``GRAPH`` argument.
+
+After an intended change of output, regenerate the corpus from the source
+tree and review the diff of the JSON file entry by entry:
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+"""
+
+import io
+import json
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from latreg.cli import main
+
+CORPUS = pathlib.Path(__file__).resolve().parent / "data" / "cli_corpus.json"
+
+_C4 = (4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+_K23 = (5, [(a, b) for a in (1, 2) for b in (3, 4, 5)])
+_VANISH_GRAPHS = {
+    "C4": _C4,
+    "C6": (6, [(i, i % 6 + 1) for i in range(1, 7)]),
+    "K23": _K23,
+    "K33": (6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
+}
+_GRAPH_FILES = {
+    "C4": _C4,
+    "K23": _K23,
+    "C4+edge": (6, _C4[1] + [(5, 6)]),
+    "triangle": (3, [(1, 2), (2, 3), (1, 3)]),
+    "edge": (2, [(1, 2)]),
+    "edge+isolated": (3, [(1, 2)]),
+    "edgeless": (2, []),
+}
+
+
+def _vanish_inputs():
+    """Label -> the arguments that give vanish its parameterization."""
+    inputs = {f"torus {v}": ["--torus", v] for v in ("1,2", "2,3,4", "1,1,2")}
+    for name, (n, edges) in _VANISH_GRAPHS.items():
+        vs = [[int(k in e) for k in range(1, n + 1)] for e in edges]
+        inputs[name] = ["--monomials", json.dumps(vs, separators=(",", ":"))]
+    return inputs
+
+
+def corpus_calls():
+    """(argv, graph name or None) for every call of the corpus, in a fixed
+    order: text output at q = 3 and 7, ``--json`` at q = 5."""
+    calls = []
+    for q in ("3", "5", "7"):
+        out = ["--json"] if q == "5" else []
+        for given in _vanish_inputs().values():
+            calls.append(([*out, "vanish", "--q", q, *given], None))
+            calls.append(([*out, "vanish", "--q", q, *given, "--ideal"], None))
+    for q in ("3", "5"):
+        out = ["--json"] if q == "5" else []
+        for name in _GRAPH_FILES:
+            for method in ("blocks", "oracle", "colon", "bounds"):
+                argv = [*out, "graph-reg", "--q", q, "--method", method, "GRAPH"]
+                calls.append((argv, name))
+    return calls
+
+
+def run_call(argv, graph, tmp_dir):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    if graph is not None:
+        n, edges = _GRAPH_FILES[graph]
+        path = pathlib.Path(tmp_dir) / "graph.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        argv = [str(path) if a == "GRAPH" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _label(entry):
+    """The call, with a name in place of its edge vectors or graph file."""
+    text = " ".join(entry["argv"]).replace("GRAPH", str(entry["graph"]))
+    for name, given in _vanish_inputs().items():
+        text = text.replace(" ".join(given), name)
+    return text
+
+
+def _entries():
+    return json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("entry", _entries() if CORPUS.exists() else [], ids=_label)
+def test_cli_call_matches_corpus(entry, tmp_path):
+    got = run_call(entry["argv"], entry["graph"], tmp_path)
+    assert got == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+def test_corpus_lists_every_call():
+    assert [(e["argv"], e["graph"]) for e in _entries()] == corpus_calls()
+
+
+if __name__ == "__main__":
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, graph in corpus_calls():
+            code, out, err = run_call(argv, graph, tmp)
+            entries.append(
+                {"argv": argv, "graph": graph, "code": code, "stdout": out, "stderr": err}
+            )
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} calls to {CORPUS}")

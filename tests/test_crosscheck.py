@@ -23,6 +23,7 @@ from helpers import (
     sumset_table,
     vanishing_lattice_rows,
 )
+from latreg import binomial_gb
 from latreg.binomial_gb import (
     BinomialIdeal,
     _buchberger_elems,
@@ -136,6 +137,15 @@ def test_single_pass_saturation_matches_fixpoint():
             assert J.gens == fixpoint_saturate_variable(I.gens, d, i)
 
 
+def _routes(monkeypatch):
+    """Yield the name of each route vanishing_ideal_finite_field can take:
+    the walk over the characters of X, then the colon J : t_s^infty, forced
+    by a zero walk budget.  Each oracle is computed once for both."""
+    yield "walk"
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
+    yield "colon"
+
+
 @pytest.mark.parametrize(
     "vs, q",
     [
@@ -148,13 +158,15 @@ def test_single_pass_saturation_matches_fixpoint():
         ([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)], 5),
     ],
 )
-def test_lattice_route_matches_elimination(vs, q):
-    assert vanishing_ideal_finite_field(vs, q).gens == elimination_vanishing_ideal(vs, q)
+def test_lattice_route_matches_elimination(vs, q, monkeypatch):
+    want = elimination_vanishing_ideal(vs, q)
+    for route in _routes(monkeypatch):
+        assert vanishing_ideal_finite_field(vs, q).gens == want, route
 
 
-def test_one_variable_colon_matches_full_saturation():
-    # J : t_s^infty against the lattice-basis ideal saturated by every
-    # variable; orientation and order of the generators must agree too
+def test_one_variable_colon_matches_full_saturation(monkeypatch):
+    # the walk and J : t_s^infty against the lattice-basis ideal saturated by
+    # every variable; orientation and order of the generators must agree too
     cases = _parameterized_cases(15)
     cases += [([(1,)], 3), ([(2, 1)], 5), ([(3, 0, 1)], 7), ([(4,)], 11)]
     cases += [
@@ -169,10 +181,13 @@ def test_one_variable_colon_matches_full_saturation():
         cycle = graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
         cases.append((characteristic_vectors(cycle), q))
     assert len(cases) >= 60 and any(len(vs) == 1 for vs, _ in cases)
-    for vs, q in cases:
-        got = vanishing_ideal_finite_field(vs, q).gens
-        want = saturated_lattice_vanishing_ideal(vs, q)
-        assert [(g.plus, g.minus) for g in got] == [(g.plus, g.minus) for g in want], (vs, q)
+    wants = [saturated_lattice_vanishing_ideal(vs, q) for vs, q in cases]
+    for route in _routes(monkeypatch):
+        for (vs, q), want in zip(cases, wants):
+            got = vanishing_ideal_finite_field(vs, q).gens
+            assert [(g.plus, g.minus) for g in got] == [
+                (g.plus, g.minus) for g in want
+            ], (vs, q, route)
 
 
 def _bipartite_with_cycle(rng, max_left):

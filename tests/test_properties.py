@@ -3,6 +3,7 @@
 import os
 import tempfile
 from math import lcm
+from unittest import mock
 
 import pytest
 
@@ -18,7 +19,11 @@ from helpers import (  # noqa: E402
     naive_point_rank,
     saturated_lattice_vanishing_ideal,
 )
-from latreg.binomial_gb import vanishing_ideal_finite_field  # noqa: E402
+from latreg import binomial_gb  # noqa: E402
+from latreg.binomial_gb import (  # noqa: E402
+    _character_walk,
+    vanishing_ideal_finite_field,
+)
 from latreg.cli import parse_ideal_file  # noqa: E402
 from latreg.ffvanish import (  # noqa: E402
     PrimeField,
@@ -31,7 +36,12 @@ from latreg.ffvanish import (  # noqa: E402
     vanishing_ideal_series,
 )
 from latreg.graphblocks import edge_regularity, graph, reg_colon_method  # noqa: E402
-from latreg.hilbert import degree_dim1_standard, hilbert_table  # noqa: E402
+from latreg.hilbert import (  # noqa: E402
+    degree_dim1_standard,
+    hilbert_table,
+    monomial_hilbert,
+    reg_cm,
+)
 from latreg.intlat import (  # noqa: E402
     Lattice,
     kernel_lattice,
@@ -45,7 +55,13 @@ from latreg.invariants import (  # noqa: E402
     mcurve_degree,
     mcurve_regularity,
 )
-from latreg.ring_core import Binomial, parse_binomial, render_binomial  # noqa: E402
+from latreg.ring_core import (  # noqa: E402
+    Binomial,
+    exponent_vectors,
+    parse_binomial,
+    render_binomial,
+    standard_grading,
+)
 
 
 @st.composite
@@ -60,11 +76,39 @@ def _parameterizations(draw, primes=(2, 3, 5, 7)):
 @hypothesis.given(_parameterizations())
 def test_one_variable_colon_is_full_saturation(case):
     # J : t_s^infty, J built from the reduced basis rows, against the raw
-    # lattice-basis ideal saturated by every variable
+    # lattice-basis ideal saturated by every variable; a zero walk budget
+    # keeps these small inputs off the walk over the characters
     vs, q = case
-    got = vanishing_ideal_finite_field(vs, q).gens
+    with mock.patch.object(binomial_gb, "_WALK_BUDGET", 0):
+        got = vanishing_ideal_finite_field(vs, q).gens
     want = saturated_lattice_vanishing_ideal(vs, q)
     assert [(g.plus, g.minus) for g in got] == [(g.plus, g.minus) for g in want]
+
+
+@st.composite
+def _walk_inputs(draw):
+    # at most 5 vectors in at most 3 parameters, so |X| <= 12^3
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any)
+    vs = draw(st.lists(vector, min_size=1, max_size=5))
+    return vs, draw(st.sampled_from((3, 5, 7, 11, 13)))
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(_walk_inputs())
+def test_character_walk_matches_full_saturation(case):
+    # the walk over the characters of X: its basis against the raw
+    # lattice-basis ideal saturated by every variable, its table against the
+    # character search, and its series against that of its leads
+    vs, q = case
+    field, s = PrimeField(q), len(vs)
+    table, I = _character_walk(exponent_vectors(vs), q)
+    want = saturated_lattice_vanishing_ideal(vs, q)
+    assert [(g.plus, g.minus) for g in I.gens] == [(g.plus, g.minus) for g in want]
+    assert table == parameterized_hilbert_table(field, vs)
+    _, F, reg = vanishing_ideal_series(field, vs)
+    G = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
+    assert F == G and reg == reg_cm(G, s - 1) == len(table) - 1
 
 
 @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
