@@ -16,16 +16,17 @@ single Groebner basis (Bayer-Stillman), so
 The vanishing ideal of a set X parameterized by monomials over F_q needs no
 basis at all when X is small enough: ``vanishing_ideal_finite_field`` reads
 its reduced basis and its Hilbert table off one breadth-first walk over the
-characters of X, packed into ints as the point side packs them
-(``_packed_steps``).  Past the walk budget it costs one basis: adding the
-powers t_i^{q-1} - t_s^{q-1} reduces its saturation to one variable.
+characters of X, packed into ints (``_walk``), the walk that also gives the
+point side its Hilbert table.  Past the walk budget it costs one basis:
+adding the powers t_i^{q-1} - t_s^{q-1} reduces its saturation to one
+variable.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 from operator import itemgetter, le
 
 from .errors import (
@@ -484,33 +485,107 @@ def _short_row(a, m):
 # work the walk over the characters of X may take before
 # vanishing_ideal_finite_field takes the colon J : t_s^infty instead: its
 # (s-1)|X| steps, each charged one unit per 64-bit word of a packed
-# character or monomial.  Above the 589,824 of C10 at q = 5 (0.7 s).  The
+# character or monomial.  Above the 589,824 of C10 at q = 5 (0.2 s).  The
 # costliest walk within it moves one class per layer: the cyclic X of
-# vanish --q 599999 --monomials '[[1],[2]]' --ideal takes 2.1-2.6 s and
-# peaks at 98 MB in-process on a 2-core host
+# vanish --q 599999 --monomials '[[1],[2]]' --ideal takes 1.7-1.9 s and
+# peaks at 99 MB in-process on a 2-core host
 _WALK_BUDGET = 600_000
 
 
-def _packed_steps(m, steps, n):
-    """Residues mod m in n coordinates packed into one int each, and the
-    successor map of the steps on them.
+def _walk(vs, q, budget):
+    """Breadth-first walk over the characters of X: the Hilbert table, the
+    t_s-free standard monomials and the minimal generators of in(I(X)).
 
-    A coordinate takes k+1 bits with 2^k > 2m - 1: a coordinate sum of two
-    residues stays below 2^k, and after adding 2^k - m its guard bit 2^k is
-    set exactly when the sum needs m subtracted.  Returns the width (k+1) n
-    of a packed character in bits, and the map sending a packed character x
-    to the list of packed x + u mod m over the steps u, in order.
+    With m = q-1 and the steps u_i = v_i - v_s mod m, i < s, the monomial
+    t^a in t_1, ..., t_{s-1} is the character sum a_i u_i of X (its class),
+    and distinct classes are linearly independent on X.  t_s is a
+    nonzerodivisor and comes last in grevlex, so no lead of the reduced
+    basis of I(X) contains it (Bayer-Stillman), and the standard monomials
+    of degree d are the t_s^{d-e} r for the t_s-free standard monomials r
+    of degree e <= d: one per class first reached in e steps, the
+    grevlex-least of degree e in it (its representative).  Layer d holds
+    the classes first reached in d steps, so H_X(d) counts the classes of
+    layers 0..d, and the walk stops after the first layer that reaches no
+    new class, d = reg + 1, past which no minimal generator lies.
+
+    A representative r is expanded by the steps i >= max supp(r) only, so
+    each monomial M is formed at most once, from M / t_i, i = max supp(M).
+    The standard monomials form an order ideal, so each of them is formed,
+    and every class is reached.  Of the monomials formed in layer d, the
+    grevlex-least in a new class is its representative; any other M is a
+    minimal generator of in(I(X)) iff each M / t_j, j in supp(M), j != i,
+    is the representative of its class y - u_j in layer d-1, y the class
+    of M.  The steps are not deduplicated: a zero or repeated step gives
+    t_i - t_s or t_i - t_j.
+
+    Characters are residues mod m in n coordinates, packed into one int
+    with k+1 bits per coordinate, 2^k > 2m - 1: a coordinate sum of two
+    residues stays below 2^k, and after adding 2^k - m its guard bit 2^k
+    is set exactly when the sum needs m subtracted.  A monomial in t_1,
+    ..., t_{s-1} is packed with t_1 in the lowest field; its exponents stay
+    at most m, since t_i^m - t_s^m lies in I(X).  Among monomials of one
+    degree the larger int is then the smaller in grevlex.
+
+    Each layer is charged s-1 steps per class it expands, w units each,
+    one per 64-bit word of a packed character: w = ceil((k+1) n / 64).
+    |X| is at least the order lcm_j m / gcd(u_j, m) of any step, so the
+    walk returns None before its first layer when s-1 times that order
+    times w passes budget, and otherwise once the units charged would.
+    Else it returns the table H_X(0), ..., H_X(reg), whose last entry is
+    |X|, the dict of class -> packed representative, and the list of
+    (packed minimal generator, its class).
     """
+    m, s, n = q - 1, len(vs), len(vs[0])
+    steps = [[(a - b) % m for a, b in zip(v, vs[-1])] for v in vs[:-1]]
     k = (2 * m - 1).bit_length()
-    shifts = [(k + 1) * j for j in range(n)]
+    shifts = range(0, (k + 1) * n, k + 1)
     C = sum(((1 << k) - m) << f for f in shifts)
     H = sum(1 << (k + f) for f in shifts)
-    U = [sum((x % m) << f for x, f in zip(u, shifts)) for u in steps]
+    up = [sum(x << f for x, f in zip(u, shifts)) for u in steps]
+    down = [sum((-x % m) << f for x, f in zip(u, shifts)) for u in steps]
+    words = -(-(k + 1) * n // 64)
+    order = max((lcm(*(m // gcd(x, m) for x in u)) for u in steps), default=1)
+    if (s - 1) * order * words > budget:
+        return None
+    w = m.bit_length()
+    mask = (1 << w) - 1
+    ones = [1 << (w * i) for i in range(s - 1)]
+    reps = {0: 0}  # class -> packed representative
+    frontier = reps  # the classes of the last layer
+    table = [1]
+    leads = []  # (packed minimal generator, its class)
 
-    def successors(x):
-        return [(t := x + u) - (((t + C) & H) >> k) * m for u in U]
+    def add_if_lead(M, y):
+        i = (M.bit_length() - 1) // w
+        for j in range(i):
+            if (M >> (w * j)) & mask:
+                t = y + down[j]
+                if frontier.get(t - (((t + C) & H) >> k) * m) != M - ones[j]:
+                    return
+        leads.append((M, y))
 
-    return (k + 1) * n, successors
+    spent = 0
+    while True:
+        spent += (s - 1) * len(frontier) * words
+        if spent > budget:
+            return None
+        new = {}
+        for c, r in frontier.items():
+            for i in range((r.bit_length() - 1) // w if r else 0, s - 1):
+                t = c + up[i]
+                y = t - (((t + C) & H) >> k) * m
+                M = r + ones[i]
+                if y not in reps:
+                    if y not in new:
+                        new[y] = M
+                        continue
+                    new[y], M = max(M, new[y]), min(M, new[y])
+                add_if_lead(M, y)
+        if not new:
+            return table, reps, leads
+        reps.update(new)
+        frontier = new
+        table.append(len(reps))
 
 
 def _subgroup(m, vectors, n):
@@ -523,78 +598,26 @@ def _subgroup(m, vectors, n):
 
 
 def _character_walk(vs, q):
-    """The Hilbert table H_X(0), ..., H_X(reg) and I(X), by one
-    breadth-first walk over the characters of X; None when its (s-1)|X|
-    steps, each charged per 64-bit word of a packed character or monomial,
-    would pass _WALK_BUDGET.  The generators of I(X) are its reduced basis
-    under the standard grevlex order, lead first and sorted by lead, as
-    ``saturate_variable`` gives them.
-
-    With m = q-1 and the steps u_i = v_i - v_s mod m, i < s, the degree-d
-    monomial t^a is the character sum_{i<s} a_i u_i of X (its class), and
-    distinct classes are linearly independent on X.  t_s is a nonzerodivisor
-    and comes last in grevlex, so no lead of the basis contains it
-    (Bayer-Stillman), and the standard monomials of degree d are the
-    t_s^{d-e} r for the t_s-free standard monomials r of degree e <= d:
-    one per class first reached in e steps, the least of degree e in it.
-    Layer d holds these classes for e = d with their representatives r,
-    and each r t_i, r in layer d-1, i < s, lies in class c + u_i:
-
-    * the least r t_i of a class not reached before is its representative;
-    * any other r t_i whose divisors r t_i / t_j, j < s, are all
-      representatives in layer d-1 is a minimal generator of in(I(X)),
-      with tail rep(c') t_s^{d - deg rep(c')} for its class c'.
-
-    The walk stops after the first layer that reaches no new class,
-    d = reg + 1, past which no minimal generator lies.  The steps are not
-    deduplicated: a zero or repeated step gives t_i - t_s or t_i - t_j.
-
-    A monomial in t_1, ..., t_{s-1} is packed into one int, t_1 in the
-    lowest field; its exponents stay at most m, since t_i^m - t_s^m lies in
-    I(X).  Among monomials of one degree the larger int is then the smaller
-    in grevlex, and a monomial r t_i is formed once for each t_j dividing
-    it with r t_i / t_j a representative, so it has all its divisors there
-    exactly when it is formed as often as its support is large.  X has
-    m^n / prod(pivots) elements (``_subgroup``), and the walk takes s-1
-    steps from each, so its cost is known before it starts.
+    """The Hilbert table H_X(0), ..., H_X(reg) and I(X), off ``_walk``; None
+    when its (s-1)|X| steps, each charged per 64-bit word of a packed
+    character or monomial, would pass _WALK_BUDGET.  |X| = m^n /
+    prod(pivots) comes from ``_subgroup`` before the walk starts.  The
+    generators of I(X) are its reduced basis under the standard grevlex
+    order, lead first and sorted by lead, as ``saturate_variable`` gives
+    them: each minimal generator M of in(I(X)) in class c, found in layer
+    d, has tail rep(c) t_s^{d - deg rep(c)}.
     """
     m, s, n = q - 1, len(vs), len(vs[0])
     steps = [tuple(a - b for a, b in zip(v, vs[-1])) for v in vs[:-1]]
-    bits, successors = _packed_steps(m, steps, n)
     w = m.bit_length()
+    bits = ((2 * m - 1).bit_length() + 1) * n
     words = -(-max(bits, (s - 1) * w) // 64)
     if (s - 1) * _subgroup(m, steps, n)[1] * words > _WALK_BUDGET:
         return None
-    moves = [(1 << (w * i), 1 << i) for i in range(s - 1)]
-    reps = {0: 0}  # class -> packed representative
-    frontier = [(0, 0, 0)]  # (class, packed representative, support mask)
-    table = [1]
-    found = []  # (packed lead, its class)
-    while True:
-        formed = {}  # packed monomial -> [class, times formed, support mask]
-        for c, r, supp in frontier:
-            for y, (one, bit) in zip(successors(c), moves):
-                f = formed.get(r + one)
-                if f is None:
-                    formed[r + one] = [y, 1, supp | bit]
-                else:
-                    f[1] += 1
-        new = {}
-        full = []  # formed once per divisor, in a class first reached here
-        for M, (y, times, supp) in formed.items():
-            if y not in reps:
-                if M > new.get(y, 0):
-                    new[y] = M
-                if times == supp.bit_count():
-                    full.append((M, y))
-            elif times == supp.bit_count():
-                found.append((M, y))
-        found += [(M, y) for M, y in full if new[y] != M]
-        if not new:
-            break
-        reps.update(new)
-        frontier = [(y, M, formed[M][2]) for y, M in new.items()]
-        table.append(len(reps))
+    walk = _walk(vs, q, _WALK_BUDGET)
+    if walk is None:  # not reached: the walk charges at most the above
+        return None
+    table, reps, leads = walk
 
     def unpack(M):
         return tuple((M >> (w * i)) & ((1 << w) - 1) for i in range(s - 1))
@@ -602,7 +625,7 @@ def _character_walk(vs, q):
     grading = standard_grading(s)
     order = MonomialOrder.grevlex(grading)
     gens = []
-    for M, y in found:
+    for M, y in leads:
         lead, rep = unpack(M), unpack(reps[y])
         gens.append(Binomial(lead + (0,), rep + (sum(lead) - sum(rep),)))
     gens.sort(key=lambda g: order.key(g.plus))
@@ -619,9 +642,19 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     are the reduced basis under the standard grevlex order, which depends
     on the ideal alone.  Within the walk budget they are read off one walk
     over the characters of X (``_character_walk``), with no Groebner basis
-    computed.
+    computed; past it, they are the colon of ``_colon_ideal``.
+    """
+    if not is_prime(q):
+        raise UnsupportedFieldError(f"{q} is not prime")
+    vs = exponent_vectors(vs)
+    walk = _character_walk(vs, q)
+    return _colon_ideal(vs, q) if walk is None else walk[1]
 
-    Otherwise, as when |X| is huge but the ideal small, I(X) is a colon.
+
+def _colon_ideal(vs, q):
+    """I(X) as the colon J : t_s^infty, for X past the walk budget, as when
+    |X| is huge but the ideal small.
+
     L is the projection onto the first s coordinates of ker [[1...1 | 0],
     [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
     basis.  Let J be generated by t_i^{q-1} - t_s^{q-1} for i < s, all in
@@ -633,19 +666,7 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     equals t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
     I(X) = J : t_s^infty, one saturation by one variable.
     """
-    if not is_prime(q):
-        raise UnsupportedFieldError(f"{q} is not prime")
-    return _vanishing_ideal(exponent_vectors(vs), q)[1]
-
-
-def _vanishing_ideal(vs, q):
-    """The Hilbert table of X and I(X) off ``_character_walk`` within its
-    budget; past it None and I(X) by the colon J : t_s^infty."""
-    walk = _character_walk(vs, q)
-    if walk is not None:
-        return walk
-    s = len(vs)
-    n = len(vs[0])
+    s, n = len(vs), len(vs[0])
     rows = [(1,) * s + (0,) * n]
     for j in range(n):
         rows.append(
@@ -656,9 +677,7 @@ def _vanishing_ideal(vs, q):
     top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
     for i in range(s - 1):
         gens.append(Binomial(tuple(q - 1 if k == i else 0 for k in range(s)), top))
-    return None, saturate_variable(
-        BinomialIdeal(s, tuple(gens), standard_grading(s)), s - 1
-    )
+    return saturate_variable(BinomialIdeal(s, tuple(gens), standard_grading(s)), s - 1)
 
 
 def initial_ideal_with_monomials(

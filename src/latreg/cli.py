@@ -70,8 +70,8 @@ def parse_ideal_file(path: str, num_vars: int | None = None) -> BinomialIdeal:
         text = line.split("#", 1)[0].strip()
         if text:
             lines.append((lineno, text))
-    if num_vars is None:
-        num_vars = max((max_variable_index(t) for _, t in lines), default=1)
+    if num_vars is None:  # at least one variable, as for the zero binomial 0
+        num_vars = max([1] + [max_variable_index(t) for _, t in lines])
     gens = []
     for lineno, text in lines:
         try:
@@ -88,7 +88,7 @@ def _read_ideal(args, sources) -> BinomialIdeal:
     if len(sources) == 1 and os.path.exists(sources[0]):
         return parse_ideal_file(sources[0], num_vars)
     if num_vars is None:
-        num_vars = max((max_variable_index(t) for t in sources), default=1)
+        num_vars = max([1] + [max_variable_index(t) for t in sources])
     gens = tuple(parse_binomial(t, num_vars) for t in sources)
     return BinomialIdeal(num_vars, gens)
 

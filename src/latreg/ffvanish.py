@@ -5,8 +5,9 @@ A set X parameterized by y^{v_1}, ..., y^{v_s} is a subgroup of the
 projective torus, and on it a degree-d monomial t^a is the character
 x |-> x^{V a} of (F_p^*)^n.  Distinct characters are linearly independent
 (Dedekind), so H_X(d) is the number of residues V a mod (p-1) with |a| = d;
-``parameterized_hilbert_table`` counts them by a breadth-first search over
-packed characters, with no point enumerated and no linear algebra.
+``parameterized_hilbert_table`` counts them by the breadth-first walk over
+packed characters that also builds I(X) (``binomial_gb._walk``), with no
+point enumerated and no linear algebra.
 
 Arbitrary point sets get their Hilbert function as an evaluation rank over
 F_p, in exact Python integers, so any prime p is handled.  Projective points
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import hilbert
-from .binomial_gb import BinomialIdeal, _packed_steps, _subgroup, _vanishing_ideal
+from .binomial_gb import BinomialIdeal, _character_walk, _colon_ideal, _subgroup, _walk
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -134,51 +135,27 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
 
     H_X(d) counts the distinct characters x |-> x^{V a} of the torus
     (F_p^*)^n over |a| = d, i.e. the residues V a mod (p-1), and no point is
-    enumerated.  Fix the step w_0 = v_1 mod (p-1) and let U hold the other
-    residues w - w_0 that are not 0.  A sum of d steps is d w_0 plus a sum of
-    at most d elements of U, so H_X(d) = |T_d| for the ball T_d of radius d
-    around 0 in the Cayley digraph of U.  A breadth-first search from 0
-    gives one table entry per layer, since T_{d+1} is T_d together with
-    F_d + U, F_d the layer at distance d.  Each character is expanded once,
-    and the table stops at reg, the first d whose next layer is empty, i.e.
-    with H_X(d) = H_X(d+1); its last entry is |X|.
+    enumerated.  They are counted by the breadth-first walk over packed
+    characters of ``binomial_gb._walk``, the same walk that builds I(X)
+    (``vanishing_ideal_series``): layer d holds the classes first reached in
+    d steps u_i = v_i - v_s, the table stops at reg, the first d whose next
+    layer is empty, i.e. with H_X(d) = H_X(d+1), and its last entry is |X|.
 
-    A character is packed into one int (``binomial_gb._packed_steps``), k+1
-    bits per coordinate with 2^k > 2(p-1) - 1.  The search forms exactly
-    |X| |U| sums, and |X| is at least the order lcm_j (p-1)/gcd(u_j, p-1)
-    of any u in U.  A sum of packed characters costs one step per 64-bit
-    word, w = ceil((k+1) n / 64) of them, so the budget is charged w per
-    sum: BudgetExceededError is raised before the first layer when w times
-    that order times |U| passes _SUMSET_BUDGET, and otherwise once w times
-    the sums formed would.
+    The walk is charged s-1 steps per class, (s-1) |X| in all, and |X| is
+    at least the order lcm_j (p-1)/gcd(u_j, p-1) of any step.  A step on
+    packed characters costs one unit per 64-bit word, w = ceil((k+1) n / 64)
+    of them with 2^k > 2(p-1) - 1, so the budget is charged w per step:
+    BudgetExceededError is raised before the first layer when w times that
+    order times s-1 passes _SUMSET_BUDGET, and otherwise once w times the
+    steps charged would.
     """
     vs = _parameterization(field, vs)
-    m = field.p - 1
-    w0 = vs[0]
-    diffs = {tuple((a - b) % m for a, b in zip(w, w0)) for w in vs} - {(0,) * len(w0)}
-    bits, successors = _packed_steps(m, list(diffs), len(w0))
-    order = max((lcm(*(m // gcd(x, m) for x in u)) for u in diffs), default=1)
-    words = -(-bits // 64)
-    seen = {0}
-    frontier = [0]
-    table = [1]
-    formed = 0
-    while True:
-        formed += len(frontier) * len(diffs)
-        if max(formed, order * len(diffs)) * words > _SUMSET_BUDGET:
-            raise BudgetExceededError(
-                f"character sumset needs more than {_SUMSET_BUDGET} sums"
-            )
-        layer = []
-        for x in frontier:
-            for y in successors(x):
-                if y not in seen:
-                    seen.add(y)
-                    layer.append(y)
-        if not layer:
-            return table
-        frontier = layer
-        table.append(len(seen))
+    walk = _walk(vs, field.p, _SUMSET_BUDGET)
+    if walk is None:
+        raise BudgetExceededError(
+            f"character sumset needs more than {_SUMSET_BUDGET} sums"
+        )
+    return walk[0]
 
 
 def vanishing_ideal_series(
@@ -187,39 +164,38 @@ def vanishing_ideal_series(
     """I(X), the Hilbert series of S/in(I(X)), and reg S/I(X) for X
     parameterized by y^{v_1}, ..., y^{v_s}.
 
-    t_i^{p-1} - t_s^{p-1} lies in I(X) and t_s divides no lead of its basis,
-    so deg lcm(in I(X)) <= (s-1)(p-1), which bounds the numerator and reg.
-    BudgetExceededError is raised before the ideal is built when (s-1)(p-1)
-    passes the numerator budget of ``hilbert``.  On a curve with distinct
-    steps (n = 1, |X| = p-1, |U| = s-1) the character search forms the same
-    number of sums against an equal budget, so both give up on the same
-    curves.
-
     Within the walk budget of ``binomial_gb``, I(X) and the Hilbert table
-    H_X(0), ..., H_X(reg) come off one walk over the characters of X.
-    S/I(X) is Cohen-Macaulay of dimension 1, so its series is h(t)/(1-t)
-    for the first differences h of the table, the numerator over (1-t)^s
-    is h(t) (1-t)^{s-1}, and reg is the length of the table less one.
+    H_X(0), ..., H_X(reg) come off one walk over the characters of X
+    (``binomial_gb._character_walk``).  S/I(X) is Cohen-Macaulay of
+    dimension 1, so its series is h(t)/(1-t) for the first differences h of
+    the table, the numerator over (1-t)^s is h(t) (1-t)^{s-1}, and reg is
+    the length of the table less one.
+
     Past the walk budget, I(X) is the colon of
     ``vanishing_ideal_finite_field`` and the series that of its leads, with
-    no character counted: |X| can be huge where the ideal is small.  Both
-    routes are chosen and run by ``binomial_gb._vanishing_ideal``.
+    no character counted: |X| can be huge where the ideal is small.
+    t_i^{p-1} - t_s^{p-1} lies in I(X) and t_s divides no lead of its basis,
+    so deg lcm(in I(X)) <= (s-1)(p-1), which bounds the numerator and reg;
+    BudgetExceededError is raised before the colon is built when (s-1)(p-1)
+    passes the numerator budget of ``hilbert``.
     """
     vs = _parameterization(field, vs)
     s = len(vs)
+    grading = standard_grading(s)
+    walk = _character_walk(vs, field.p)
+    if walk is not None:
+        table, I = walk
+        h = [b - a for a, b in zip([0] + table, table)]
+        one_minus_t = [(-1) ** j * comb(s - 1, j) for j in range(s)]
+        return I, HilbertSeries(poly_mul(h, one_minus_t), grading), len(table) - 1
     budget = hilbert._NUMERATOR_DEGREE_BUDGET
     if (s - 1) * (field.p - 1) > budget:
         raise BudgetExceededError(
             f"vanishing ideal degree bound (s-1)(q-1) passes {budget}"
         )
-    grading = standard_grading(s)
-    table, I = _vanishing_ideal(vs, field.p)
-    if table is None:
-        F = monomial_hilbert([g.plus for g in I.gens], grading)
-        return I, F, reg_cm(F, s - 1)
-    h = [b - a for a, b in zip([0] + table, table)]
-    one_minus_t = [(-1) ** j * comb(s - 1, j) for j in range(s)]
-    return I, HilbertSeries(poly_mul(h, one_minus_t), grading), len(table) - 1
+    I = _colon_ideal(vs, field.p)
+    F = monomial_hilbert([g.plus for g in I.gens], grading)
+    return I, F, reg_cm(F, s - 1)
 
 
 def _prod_mod(factors, p):

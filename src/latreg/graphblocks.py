@@ -203,8 +203,9 @@ def edge_point_set(G: Graph, field: PrimeField) -> PointSet:
 
 def edge_regularity(G: Graph, field: PrimeField) -> int:
     """Regularity of the vanishing ideal of the edge point set: the depth of
-    the breadth-first search over the characters of the edge monomials in
-    ``parameterized_hilbert_table`` (no point is enumerated)."""
+    the breadth-first walk over the characters of the edge monomials in
+    ``parameterized_hilbert_table``, the walk that ``reg_colon_method``
+    takes within its budget (no point is enumerated)."""
     return len(parameterized_hilbert_table(field, _edge_vectors(G))) - 1
 
 

@@ -131,6 +131,23 @@ def test_ideal_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_zero_binomial_alone(tmp_path, capsys):
+    # the binomial 0 names no variable, but its ring has one, as for an
+    # empty ideal file
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n")
+    assert parse_ideal_file(str(zero)).num_vars == 1
+    assert run(capsys, "gb", str(empty)) == (0, "0\n", "")
+    code, out, err = run(capsys, "hilbert", str(empty))
+    assert (code, out.splitlines()[0], err) == (0, "numerator: 1", "")
+    for cmd in ("gb", "hilbert"):
+        want = run(capsys, cmd, str(empty))
+        assert run(capsys, cmd, "0") == want
+        assert run(capsys, cmd, str(zero)) == want
+
+
 def test_lattice_commands(tmp_path, capsys):
     path = tmp_path / "lat.json"
     path.write_text(json.dumps({"ambient": 2, "generators": [[2, -2]]}))
@@ -225,8 +242,10 @@ def test_vanish_ideal_series_matches_character_search(capsys, argv):
 
 
 def test_vanish_ideal_degree_budget(capsys, monkeypatch):
-    # [[1],[2],[3]] over F_5 has (s-1)(q-1) = 8
+    # [[1],[2],[3]] over F_5 has (s-1)(q-1) = 8; the bound is checked on the
+    # colon route only, so a zero walk budget sends the input there
     argv = ["vanish", "--q", "5", "--monomials", "[[1],[2],[3]]", "--ideal"]
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
     monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 8)
     assert run(capsys, *argv)[0] == 0
     monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 7)
@@ -241,6 +260,16 @@ def test_vanish_ideal_degree_budget(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == (
         "budget-exceeded: vanishing ideal degree bound (s-1)(q-1) passes 4000000\n"
+    )
+
+
+def test_vanish_ideal_of_one_point_at_large_q(capsys):
+    # X is one point, so the walk answers at once, although (s-1)(q-1) =
+    # 4000036 passes the numerator budget that binds the colon route
+    argv = ["vanish", "--q", "4000037", "--monomials", "[[1],[1]]"]
+    assert run(capsys, *argv) == (0, "|X|=1\nH(0..1): 1 1\nreg=0\n", "")
+    assert run(capsys, *argv, "--ideal") == (
+        0, "|X|=1\nH(0..1): 1 1\nreg=0\nideal:\n  t1 - t2\n", ""
     )
 
 

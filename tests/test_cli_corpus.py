@@ -2,10 +2,13 @@
 must match byte for byte.
 
 The corpus, ``tests/data/cli_corpus.json``, holds ``vanish`` with and
-without ``--ideal`` on degenerate tori and on the edge vectors of C4, C6,
-K23 and K33 at q = 3, 5 and 7, and ``graph-reg`` with all four methods on
-small graphs (edgeless, with an isolated vertex, not bipartite), in text
-and in ``--json`` output.  A graph is stored by name with its call and
+without ``--ideal`` on degenerate tori, on the edge vectors of C4, C6, K23
+and K33, and on two sets with a repeated vector and with v_1 = v_s (a
+zero and a repeated step of the character walk) at q = 3, 5 and 7; the
+same on C6 and both sets at q = 11 and on a torus at q = 31; and
+``graph-reg`` with all four methods on small graphs (edgeless, with an
+isolated vertex, not bipartite) at q = 3 and 5, and with ``blocks`` and
+``oracle`` at q = 7 and 11, in text and in ``--json`` output.  A graph is stored by name with its call and
 written to a temporary file, whose path replaces the ``GRAPH`` argument.
 
 After an intended change of output, regenerate the corpus from the source
@@ -34,6 +37,10 @@ _VANISH_GRAPHS = {
     "K23": _K23,
     "K33": (6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
 }
+_VANISH_SETS = {
+    "repeated": [[1, 0], [0, 1], [1, 0], [1, 1]],
+    "v1=vs": [[2, 1], [1, 3], [0, 1], [2, 1]],
+}
 _GRAPH_FILES = {
     "C4": _C4,
     "K23": _K23,
@@ -51,22 +58,36 @@ def _vanish_inputs():
     for name, (n, edges) in _VANISH_GRAPHS.items():
         vs = [[int(k in e) for k in range(1, n + 1)] for e in edges]
         inputs[name] = ["--monomials", json.dumps(vs, separators=(",", ":"))]
+    for name, vs in _VANISH_SETS.items():
+        inputs[name] = ["--monomials", json.dumps(vs, separators=(",", ":"))]
     return inputs
 
 
 def corpus_calls():
     """(argv, graph name or None) for every call of the corpus, in a fixed
-    order: text output at q = 3 and 7, ``--json`` at q = 5."""
+    order: text output at q = 3, 7 and 31, ``--json`` at q = 5 and 11."""
+    inputs = _vanish_inputs()
     calls = []
-    for q in ("3", "5", "7"):
-        out = ["--json"] if q == "5" else []
-        for given in _vanish_inputs().values():
-            calls.append(([*out, "vanish", "--q", q, *given], None))
-            calls.append(([*out, "vanish", "--q", q, *given, "--ideal"], None))
-    for q in ("3", "5"):
-        out = ["--json"] if q == "5" else []
+    for q, names in (
+        ("3", inputs),
+        ("5", inputs),
+        ("7", inputs),
+        ("11", ["C6", *_VANISH_SETS]),
+        ("31", ["torus 2,3,4"]),
+    ):
+        out = ["--json"] if q in ("5", "11") else []
+        for name in names:
+            calls.append(([*out, "vanish", "--q", q, *inputs[name]], None))
+            calls.append(([*out, "vanish", "--q", q, *inputs[name], "--ideal"], None))
+    for q, methods in (
+        ("3", ("blocks", "oracle", "colon", "bounds")),
+        ("5", ("blocks", "oracle", "colon", "bounds")),
+        ("7", ("blocks", "oracle")),
+        ("11", ("blocks", "oracle")),
+    ):
+        out = ["--json"] if q in ("5", "11") else []
         for name in _GRAPH_FILES:
-            for method in ("blocks", "oracle", "colon", "bounds"):
+            for method in methods:
                 argv = [*out, "graph-reg", "--q", q, "--method", method, "GRAPH"]
                 calls.append((argv, name))
     return calls

@@ -18,6 +18,7 @@ from helpers import (  # noqa: E402
     curve_pipeline,
     naive_point_rank,
     saturated_lattice_vanishing_ideal,
+    sumset_table,
 )
 from latreg import binomial_gb  # noqa: E402
 from latreg.binomial_gb import (  # noqa: E402
@@ -96,16 +97,20 @@ def _walk_inputs(draw):
 
 @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
 @hypothesis.given(_walk_inputs())
+@hypothesis.example(([[1, 2], [3, 1], [1, 2], [2, 2]], 7))  # a repeated step
+@hypothesis.example(([[2, 1], [1, 3], [2, 1]], 5))  # v_1 = v_s, a zero step
+@hypothesis.example(([[1], [2], [1], [1]], 3))  # both
 def test_character_walk_matches_full_saturation(case):
     # the walk over the characters of X: its basis against the raw
     # lattice-basis ideal saturated by every variable, its table against the
-    # character search, and its series against that of its leads
+    # sumset rebuilt level by level on tuples, and its series against that
+    # of its leads
     vs, q = case
     field, s = PrimeField(q), len(vs)
     table, I = _character_walk(exponent_vectors(vs), q)
     want = saturated_lattice_vanishing_ideal(vs, q)
     assert [(g.plus, g.minus) for g in I.gens] == [(g.plus, g.minus) for g in want]
-    assert table == parameterized_hilbert_table(field, vs)
+    assert table == sumset_table(field, vs)
     _, F, reg = vanishing_ideal_series(field, vs)
     G = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
     assert F == G and reg == reg_cm(G, s - 1) == len(table) - 1
