@@ -14,19 +14,20 @@ single Groebner basis (Bayer-Stillman), so
 ``lattice_ideal_generators`` costs one basis per variable.
 
 The vanishing ideal of a set X parameterized by monomials over F_q needs no
-basis at all when X is small enough: ``vanishing_ideal_finite_field`` reads
-its reduced basis and its Hilbert table off one breadth-first walk over the
-characters of X, packed into ints (``_walk``), the walk that also gives the
-point side its Hilbert table.  Past the walk budget it costs one basis:
-adding the powers t_i^{q-1} - t_s^{q-1} reduces its saturation to one
-variable.
+basis at all when X is small enough: ``_vanishing_ideal``, the one place
+that picks its route, reads its reduced basis and its Hilbert table off one
+breadth-first walk over the characters of X, packed into ints (``_walk``),
+the walk that also gives the point side its Hilbert table.  Past the walk
+budget it costs one basis: adding the powers t_i^{q-1} - t_s^{q-1} reduces
+its saturation to one variable, and the degree bound (s-1)(q-1) of that
+colon is checked before it is built.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import itemgetter, le
 
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     UnsupportedFieldError,
     UnsupportedInputError,
 )
-from .intlat import Lattice, is_homogeneous, is_prime, kernel_lattice
+from .intlat import Lattice, is_homogeneous, is_prime, kernel_lattice, subgroup_mod
 from .ring_core import (
     Binomial,
     Grading,
@@ -482,8 +483,8 @@ def _short_row(a, m):
     return out
 
 
-# work the walk over the characters of X may take before
-# vanishing_ideal_finite_field takes the colon J : t_s^infty instead: its
+# work the walk over the characters of X may take before _vanishing_ideal
+# takes the colon J : t_s^infty instead: its
 # (s-1)|X| steps, each charged one unit per 64-bit word of a packed
 # character or monomial.  Above the 589,824 of C10 at q = 5 (0.2 s).  The
 # costliest walk within it moves one class per layer: the cyclic X of
@@ -588,23 +589,17 @@ def _walk(vs, q, budget):
         table.append(len(reps))
 
 
-def _subgroup(m, vectors, n):
-    """The Hermite basis of the lattice spanned by the vectors and m Z^n,
-    and the order m^n / prod(pivots) of the subgroup of (Z/m)^n that the
-    vectors generate."""
-    torus = [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]
-    basis = Lattice(n, list(vectors) + torus).basis
-    return basis, m**n // prod(h[i] for i, h in enumerate(basis))
+def _vanishing_ideal(vs, q):
+    """I(X) and, when it comes off ``_walk``, the Hilbert table H_X(0),
+    ..., H_X(reg), else None: the one place that picks the route to I(X).
 
-
-def _character_walk(vs, q):
-    """The Hilbert table H_X(0), ..., H_X(reg) and I(X), off ``_walk``; None
-    when its (s-1)|X| steps, each charged per 64-bit word of a packed
-    character or monomial, would pass _WALK_BUDGET.  |X| = m^n /
-    prod(pivots) comes from ``_subgroup`` before the walk starts.  The
-    generators of I(X) are its reduced basis under the standard grevlex
-    order, lead first and sorted by lead, as ``saturate_variable`` gives
-    them: each minimal generator M of in(I(X)) in class c, found in layer
+    The walk is taken unless its (s-1)|X| steps, each charged per 64-bit
+    word of a packed character or monomial, would pass _WALK_BUDGET; |X| =
+    m^n / prod(pivots) comes from ``subgroup_mod`` before the walk
+    starts.  Past it, I(X) is the colon of ``_colon_ideal``.  Either way the
+    generators are its reduced basis under the standard grevlex order, lead
+    first and sorted by lead, as ``saturate_variable`` gives them: off the
+    walk, each minimal generator M of in(I(X)) in class c, found in layer
     d, has tail rep(c) t_s^{d - deg rep(c)}.
     """
     m, s, n = q - 1, len(vs), len(vs[0])
@@ -612,11 +607,11 @@ def _character_walk(vs, q):
     w = m.bit_length()
     bits = ((2 * m - 1).bit_length() + 1) * n
     words = -(-max(bits, (s - 1) * w) // 64)
-    if (s - 1) * _subgroup(m, steps, n)[1] * words > _WALK_BUDGET:
-        return None
-    walk = _walk(vs, q, _WALK_BUDGET)
-    if walk is None:  # not reached: the walk charges at most the above
-        return None
+    size = subgroup_mod(m, steps, n)[1]
+    # _walk charges at most (s-1)|X| words: None only past this check
+    walk = (s - 1) * size * words <= _WALK_BUDGET and _walk(vs, q, _WALK_BUDGET)
+    if not walk:
+        return _colon_ideal(vs, q), None
     table, reps, leads = walk
 
     def unpack(M):
@@ -629,7 +624,7 @@ def _character_walk(vs, q):
         lead, rep = unpack(M), unpack(reps[y])
         gens.append(Binomial(lead + (0,), rep + (sum(lead) - sum(rep),)))
     gens.sort(key=lambda g: order.key(g.plus))
-    return table, BinomialIdeal(s, tuple(gens), grading)
+    return BinomialIdeal(s, tuple(gens), grading), table
 
 
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
@@ -640,15 +635,20 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     (q-1)}, V the matrix with columns v_i (Renteria-Simis-Villarreal), so
     the result is a graded lattice ideal of dimension 1.  Its generators
     are the reduced basis under the standard grevlex order, which depends
-    on the ideal alone.  Within the walk budget they are read off one walk
-    over the characters of X (``_character_walk``), with no Groebner basis
-    computed; past it, they are the colon of ``_colon_ideal``.
+    on the ideal alone.  ``_vanishing_ideal`` reads them off one walk over
+    the characters of X within the walk budget, with no Groebner basis
+    computed, and past it takes the colon of ``_colon_ideal``, which has a
+    degree budget.
     """
     if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
-    vs = exponent_vectors(vs)
-    walk = _character_walk(vs, q)
-    return _colon_ideal(vs, q) if walk is None else walk[1]
+    return _vanishing_ideal(exponent_vectors(vs), q)[0]
+
+
+# degree bound on a Hilbert numerator, checked before it is built: by
+# `latreg hilbert` on lcm(in(I)), by _colon_ideal on (s-1)(q-1) >= deg
+# lcm(in(I(X))).  It also bounds the printed H line (4e6 values in ~3.5 s)
+_NUMERATOR_DEGREE_BUDGET = 4_000_000
 
 
 def _colon_ideal(vs, q):
@@ -665,8 +665,18 @@ def _colon_ideal(vs, q):
     longer.  So I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1}
     equals t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
     I(X) = J : t_s^infty, one saturation by one variable.
+
+    t_s divides no lead of I(X), which holds t_i^{q-1} - t_s^{q-1}, so deg
+    lcm(in(I(X))) <= (s-1)(q-1); past _NUMERATOR_DEGREE_BUDGET, where the
+    saturation can run for minutes before _WORK_BUDGET trips, that bound
+    raises BudgetExceededError before J is built.
     """
     s, n = len(vs), len(vs[0])
+    if (s - 1) * (q - 1) > _NUMERATOR_DEGREE_BUDGET:
+        raise BudgetExceededError(
+            "vanishing ideal degree bound (s-1)(q-1) passes "
+            f"{_NUMERATOR_DEGREE_BUDGET}"
+        )
     rows = [(1,) * s + (0,) * n]
     for j in range(n):
         rows.append(

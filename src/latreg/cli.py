@@ -13,14 +13,14 @@ import json
 import os
 import sys
 
-from . import __version__, hilbert
+from . import __version__, binomial_gb
 from .binomial_gb import BinomialIdeal, buchberger, initial_ideal
 from .errors import BudgetExceededError, InvalidArgumentError, LatregError, ParseError
 from .ffvanish import (
     PrimeField,
     degenerate_torus_vectors,
     parameterized_hilbert_table,
-    vanishing_ideal_series,
+    vanishing_ideal_table,
 )
 from .graphblocks import (
     Graph,
@@ -194,7 +194,7 @@ def _cmd_hilbert(args):
     # the series of S/in(I) is that of S/I under any order (Macaulay)
     leads = initial_ideal(buchberger(ideal, MonomialOrder.grevlex(grading)))
     top = weighted_degree(tuple(map(max, zip(*leads))), grading) if leads else 0
-    budget = hilbert._NUMERATOR_DEGREE_BUDGET
+    budget = binomial_gb._NUMERATOR_DEGREE_BUDGET
     if top > budget:
         raise BudgetExceededError(f"Hilbert numerator degree bound passes {budget}")
     F = monomial_hilbert(leads, grading)
@@ -254,16 +254,13 @@ def _cmd_vanish(args):
         except (ValueError, TypeError) as e:
             raise ParseError(f"bad monomial list: {e}") from e
     if args.ideal:
-        # |X|, H and reg off the Hilbert series of in(I(X)): the ideal can be
-        # cheap where the character search is over budget
-        I, F, reg = vanishing_ideal_series(field, vs)
-        table = F.expand(reg + 1)
+        # past the walk budget, off the Hilbert series of the colon's leads
+        I, table = vanishing_ideal_table(field, vs)
     else:
-        # H(0..reg); the last value is |X|, and H(reg + 1) repeats it
         table = parameterized_hilbert_table(field, vs)
-        reg = len(table) - 1
-        table.append(table[-1])
-    size = table[-1]
+    # H(0..reg); the last value is |X|, and H(reg + 1) repeats it
+    reg, size = len(table) - 1, table[-1]
+    table.append(size)
     lines = [
         f"|X|={size}",
         "H(0..{}): {}".format(len(table) - 1, " ".join(map(str, table))),

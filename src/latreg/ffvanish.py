@@ -7,7 +7,9 @@ x |-> x^{V a} of (F_p^*)^n.  Distinct characters are linearly independent
 (Dedekind), so H_X(d) is the number of residues V a mod (p-1) with |a| = d;
 ``parameterized_hilbert_table`` counts them by the breadth-first walk over
 packed characters that also builds I(X) (``binomial_gb._walk``), with no
-point enumerated and no linear algebra.
+point enumerated and no linear algebra.  ``vanishing_ideal_table`` gives
+I(X) with the same table, by the route that ``binomial_gb`` picks: past
+the walk budget, the table is read off the Hilbert series of the colon.
 
 Arbitrary point sets get their Hilbert function as an evaluation rank over
 F_p, in exact Python integers, so any prime p is handled.  Projective points
@@ -21,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
-from . import hilbert
-from .binomial_gb import BinomialIdeal, _character_walk, _colon_ideal, _subgroup, _walk
+from .binomial_gb import BinomialIdeal, _vanishing_ideal, _walk
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -32,8 +33,8 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedFieldError,
 )
-from .hilbert import HilbertSeries, monomial_hilbert, poly_mul, reg_cm
-from .intlat import Matrix, is_prime
+from .hilbert import monomial_hilbert, reg_cm
+from .intlat import Matrix, is_prime, subgroup_mod
 from .ring_core import exponent_vectors, standard_grading
 
 
@@ -137,7 +138,7 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     (F_p^*)^n over |a| = d, i.e. the residues V a mod (p-1), and no point is
     enumerated.  They are counted by the breadth-first walk over packed
     characters of ``binomial_gb._walk``, the same walk that builds I(X)
-    (``vanishing_ideal_series``): layer d holds the classes first reached in
+    (``vanishing_ideal_table``): layer d holds the classes first reached in
     d steps u_i = v_i - v_s, the table stops at reg, the first d whose next
     layer is empty, i.e. with H_X(d) = H_X(d+1), and its last entry is |X|.
 
@@ -158,44 +159,25 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
     return walk[0]
 
 
-def vanishing_ideal_series(
-    field: PrimeField, vs
-) -> tuple[BinomialIdeal, HilbertSeries, int]:
-    """I(X), the Hilbert series of S/in(I(X)), and reg S/I(X) for X
-    parameterized by y^{v_1}, ..., y^{v_s}.
+def vanishing_ideal_table(field: PrimeField, vs) -> tuple[BinomialIdeal, list[int]]:
+    """I(X) and its Hilbert table H_X(0), ..., H_X(reg), whose last entry
+    is |X|, for X parameterized by y^{v_1}, ..., y^{v_s}.
 
-    Within the walk budget of ``binomial_gb``, I(X) and the Hilbert table
-    H_X(0), ..., H_X(reg) come off one walk over the characters of X
-    (``binomial_gb._character_walk``).  S/I(X) is Cohen-Macaulay of
-    dimension 1, so its series is h(t)/(1-t) for the first differences h of
-    the table, the numerator over (1-t)^s is h(t) (1-t)^{s-1}, and reg is
-    the length of the table less one.
-
-    Past the walk budget, I(X) is the colon of
-    ``vanishing_ideal_finite_field`` and the series that of its leads, with
-    no character counted: |X| can be huge where the ideal is small.
-    t_i^{p-1} - t_s^{p-1} lies in I(X) and t_s divides no lead of its basis,
-    so deg lcm(in I(X)) <= (s-1)(p-1), which bounds the numerator and reg;
-    BudgetExceededError is raised before the colon is built when (s-1)(p-1)
-    passes the numerator budget of ``hilbert``.
+    ``binomial_gb._vanishing_ideal`` picks the route.  Within the walk
+    budget, I(X) and the table come off one walk over the characters of X.
+    Past it, I(X) is the colon J : t_s^infty and no character is counted:
+    |X| can be huge where the ideal is small.  S/I(X) is Cohen-Macaulay of
+    dimension 1, so reg is read off the Hilbert series of its leads, and
+    the table is that series expanded to reg.  The colon raises
+    BudgetExceededError when its degree bound (s-1)(p-1) passes the
+    numerator budget.
     """
     vs = _parameterization(field, vs)
-    s = len(vs)
-    grading = standard_grading(s)
-    walk = _character_walk(vs, field.p)
-    if walk is not None:
-        table, I = walk
-        h = [b - a for a, b in zip([0] + table, table)]
-        one_minus_t = [(-1) ** j * comb(s - 1, j) for j in range(s)]
-        return I, HilbertSeries(poly_mul(h, one_minus_t), grading), len(table) - 1
-    budget = hilbert._NUMERATOR_DEGREE_BUDGET
-    if (s - 1) * (field.p - 1) > budget:
-        raise BudgetExceededError(
-            f"vanishing ideal degree bound (s-1)(q-1) passes {budget}"
-        )
-    I = _colon_ideal(vs, field.p)
-    F = monomial_hilbert([g.plus for g in I.gens], grading)
-    return I, F, reg_cm(F, s - 1)
+    I, table = _vanishing_ideal(vs, field.p)
+    if table is None:
+        F = monomial_hilbert([g.plus for g in I.gens], I.grading)
+        table = F.expand(reg_cm(F, len(vs) - 1))
+    return I, table
 
 
 def _prod_mod(factors, p):
@@ -305,7 +287,7 @@ def _log_lattice(X: PointSet) -> tuple[Matrix, int] | None:
     a generator of mu_m, the normalized points (x_1, ..., x_n, 1), n = s-1,
     are distinct vectors of (Z/m)^n, and together with m Z^n they span a
     lattice L whose image L / m Z^n is the group that X generates.  That
-    group has m^n / prod(pivots of L) elements (``binomial_gb._subgroup``),
+    group has m^n / prod(pivots of L) elements (``subgroup_mod``),
     so X is a subgroup iff it has |X| of them.
     """
     p, size = X.field.p, len(X)
@@ -316,7 +298,7 @@ def _log_lattice(X: PointSet) -> tuple[Matrix, int] | None:
     log = {pow(g, k, p): k for k in range(m)}
     n = X.num_coords - 1
     logs = [tuple(log[x] for x in pt[:n]) for pt in X.points]
-    basis, order = _subgroup(m, logs, n)
+    basis, order = subgroup_mod(m, logs, n)
     if order != size:
         return None
     return basis, m

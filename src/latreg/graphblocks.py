@@ -11,7 +11,7 @@ from .ffvanish import (
     PrimeField,
     enumerate_parameterized,
     parameterized_hilbert_table,
-    vanishing_ideal_series,
+    vanishing_ideal_table,
 )
 from .invariants import additive_regularity
 
@@ -236,16 +236,16 @@ def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
 
 
 def reg_colon_method(G: Graph, field: PrimeField) -> int:
-    """Regularity via the vanishing ideal I(X), for any graph
-    (``vanishing_ideal_series``).
+    """Regularity via the vanishing ideal I(X), for any graph, off the
+    Hilbert table of ``vanishing_ideal_table``.
 
-    Within the walk budget of ``binomial_gb``, I(X) and its Hilbert table
-    come off one walk over the characters of X, and reg is the depth of
-    that walk, as in ``edge_regularity``.  Past it, I(X) = J : t_s^infty
-    with J the binomials of the lattice-basis rows reduced modulo the
-    (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}
-    (``vanishing_ideal_finite_field``); S/I(X) is Cohen-Macaulay of
-    dimension 1, so reg is read off the Hilbert series of its initial
-    ideal, and no character is counted.
+    Within the walk budget of ``binomial_gb``, I(X) and its table come off
+    one walk over the characters of X, and reg is the depth of that walk,
+    as in ``edge_regularity``.  Past it, I(X) = J : t_s^infty with J the
+    binomials of the lattice-basis rows reduced modulo the (q-1)(e_i -
+    e_s), plus t_i^{q-1} - t_s^{q-1}; S/I(X) is Cohen-Macaulay of dimension
+    1, so reg is read off the Hilbert series of its initial ideal, and no
+    character is counted; the colon raises BudgetExceededError when
+    (s-1)(q-1) passes the numerator budget.
     """
-    return vanishing_ideal_series(field, _edge_vectors(G))[2]
+    return len(vanishing_ideal_table(field, _edge_vectors(G))[1]) - 1

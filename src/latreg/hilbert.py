@@ -20,12 +20,6 @@ from .ring_core import Grading, MonomialOrder, standard_grading, weighted_degree
 
 Poly = tuple[int, ...]  # coefficient list, index = degree, trimmed
 
-# degree bound on a numerator above which its callers give up before the
-# dense numerator is built: `hilbert` checks the weighted degree of
-# lcm(in(I)), `vanish --ideal` the bound (s-1)(q-1) before I(X) is built.
-# It also bounds the printed H line (4e6 prints 4e6 + 3 values in ~3.5 s)
-_NUMERATOR_DEGREE_BUDGET = 4_000_000
-
 
 def _trim(p) -> Poly:
     p = list(p)

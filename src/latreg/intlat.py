@@ -170,6 +170,15 @@ class Lattice:
         return f"Lattice(dim={self.ambient_dim}, basis={self.basis})"
 
 
+def subgroup_mod(m: int, vectors, n: int) -> tuple[Matrix, int]:
+    """The Hermite basis of the lattice spanned by the vectors and m Z^n,
+    and the order m^n / prod(pivots) of the subgroup of (Z/m)^n that the
+    vectors generate."""
+    torus = [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]
+    basis = Lattice(n, list(vectors) + torus).basis
+    return basis, m**n // prod(h[i] for i, h in enumerate(basis))
+
+
 def torsion_order(L: Lattice) -> int:
     """|T(Z^s / L)| = product of the nonzero Smith invariant factors."""
     return prod(L.smith_invariants)

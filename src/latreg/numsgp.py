@@ -88,7 +88,11 @@ def membership(S: NumericalSemigroup, n: int) -> bool:
 
 
 def apery_set(S: NumericalSemigroup, m: int) -> list[int]:
-    """Least element of S in each residue class mod m, for m in S."""
+    """Least element of S in each residue class mod m, for m in S of gcd 1."""
+    if S.gcd != 1:
+        raise InvalidSemigroupError(
+            f"gcd of generators is {S.gcd}, Apery set undefined"
+        )
     if m < 1 or not membership(S, m):
         raise InvalidArgumentError(f"{m} is not a positive element of the semigroup")
     dist = _least_per_residue(S.generators, m)

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from helpers import (
 )
 from latreg.binomial_gb import (
     BinomialIdeal,
+    _walk,
     buchberger,
     homogenize_binomials,
     ideal_equal,
@@ -26,6 +29,7 @@ from latreg.binomial_gb import (
     vanishing_ideal_finite_field,
 )
 from latreg.errors import (
+    BudgetExceededError,
     DimensionError,
     InvalidArgumentError,
     UnsupportedFieldError,
@@ -328,6 +332,29 @@ def test_vanishing_ideal_examples():
         vanishing_ideal_finite_field([(1,)], 4)
     with pytest.raises(InvalidArgumentError):
         vanishing_ideal_finite_field([(0,)], 3)
+
+
+def test_vanishing_ideal_colon_degree_bound():
+    # |X| = q - 1 is past the walk budget, and (s-1)(q-1) passes the
+    # numerator budget, so the colon refuses before it is built; the
+    # saturation runs for minutes at this q before the work budget trips
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"\(s-1\)\(q-1\) passes 4000000"):
+        vanishing_ideal_finite_field([(19,), (6,), (15,), (21,)], 10**9 + 7)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_walk_refuses_before_its_first_layer():
+    # the step 1 - 2 has order q - 1 = 10006 over budget 5000, so the walk
+    # gives up before any layer; without that check it walks 5000
+    # one-class layers and peaks at ~636 KB
+    tracemalloc.start()
+    try:
+        assert _walk([(1,), (2,)], 10007, 5000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_buchberger_matches_sympy():

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from latreg import binomial_gb, ffvanish, hilbert, invariants
+from latreg import binomial_gb, ffvanish, invariants
 from latreg.cli import main, parse_ideal_file
 from latreg.errors import ParseError
 
@@ -102,10 +102,10 @@ def test_hilbert_numerator_degree_budget(tmp_path, capsys, monkeypatch):
     assert err == "budget-exceeded: Hilbert numerator degree bound passes 4000000\n"
     # the leads t1^2 and t2^3 have an lcm of degree 5, the numerator's degree
     argv = ["hilbert", "t1^2 - t3^2", "t2^3 - t3^3"]
-    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 5)
+    monkeypatch.setattr(binomial_gb, "_NUMERATOR_DEGREE_BUDGET", 5)
     code, out, _ = run(capsys, *argv)
     assert (code, out.splitlines()[0]) == (0, "numerator: 1 - t^2 - t^3 + t^5")
-    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 4)
+    monkeypatch.setattr(binomial_gb, "_NUMERATOR_DEGREE_BUDGET", 4)
     assert run(capsys, *argv)[:2] == (1, "")
 
 
@@ -229,11 +229,20 @@ def test_vanish_sumset_budget_fails_before_search(capsys):
         ["--q", "7", "--monomials", "[[1,2],[2,1],[1,1]]"],
         ["--q", "5", "--monomials", "[[1,1,0],[0,1,1],[1,0,1]]"],
         ["--q", "3", "--monomials", "[[1,1,0,0],[0,1,1,0],[0,0,1,1],[1,0,0,1]]"],
+        # |X| = 405,000: past the walk budget of --ideal, within that of
+        # the table alone
+        [
+            "--q",
+            "31",
+            "--monomials",
+            "[[15,9,13,7,14],[0,13,27,21,22],[8,7,20,7,0],[9,9,26,10,21],[4,23,19,9,0]]",
+        ],
     ],
 )
 def test_vanish_ideal_series_matches_character_search(capsys, argv):
-    # with --ideal, |X|, H and reg come off the Hilbert series of in(I(X));
-    # without it, off the character search: the two must agree
+    # with --ideal, |X|, H and reg come off the walk that builds I(X), or
+    # past its budget off the Hilbert series of the colon's leads; without
+    # it, off the walk alone: the two must agree
     code, out, _ = run(capsys, "vanish", *argv)
     code_i, out_i, _ = run(capsys, "vanish", *argv, "--ideal")
     assert code == code_i == 0
@@ -246,13 +255,16 @@ def test_vanish_ideal_degree_budget(capsys, monkeypatch):
     # colon route only, so a zero walk budget sends the input there
     argv = ["vanish", "--q", "5", "--monomials", "[[1],[2],[3]]", "--ideal"]
     monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
-    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 8)
+    monkeypatch.setattr(binomial_gb, "_NUMERATOR_DEGREE_BUDGET", 8)
     assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(hilbert, "_NUMERATOR_DEGREE_BUDGET", 7)
+    monkeypatch.setattr(binomial_gb, "_NUMERATOR_DEGREE_BUDGET", 7)
     assert run(capsys, *argv)[:2] == (1, "")
     monkeypatch.undo()
-    # q = 2^61 - 1: reducing the seed t_2^{q-1} - t_3^{q-1} would take ~2^60
-    # steps, so the budget is checked before the ideal is built
+    # q = 2^61 - 1: this colon builds in about a millisecond, since one
+    # division step subtracts a lead as often as it divides, but at q >=
+    # 10^6 colons can run for minutes before the engine's work budget trips
+    # (of 24 random ones measured, 10 ran 8-160 s), so the degree bound is
+    # checked before the ideal is built
     start = time.perf_counter()
     argv = ["vanish", "--q", str(2**61 - 1), "--monomials", "[[1],[2],[3]]", "--ideal"]
     code, out, err = run(capsys, *argv)

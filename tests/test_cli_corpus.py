@@ -5,11 +5,14 @@ The corpus, ``tests/data/cli_corpus.json``, holds ``vanish`` with and
 without ``--ideal`` on degenerate tori, on the edge vectors of C4, C6, K23
 and K33, and on two sets with a repeated vector and with v_1 = v_s (a
 zero and a repeated step of the character walk) at q = 3, 5 and 7; the
-same on C6 and both sets at q = 11 and on a torus at q = 31; and
-``graph-reg`` with all four methods on small graphs (edgeless, with an
-isolated vertex, not bipartite) at q = 3 and 5, and with ``blocks`` and
-``oracle`` at q = 7 and 11, in text and in ``--json`` output.  A graph is stored by name with its call and
-written to a temporary file, whose path replaces the ``GRAPH`` argument.
+same on C6 and both sets at q = 11, and on a torus and a five-vector set
+(|X| = 405,000) at q = 31; with ``--ideal`` only, six vectors at q = 101
+(|X| = 10^10) and a cyclic X at q = 10^9 + 7, which leave the walk for the
+colon or its degree bound; and ``graph-reg`` with all four methods on
+small graphs (edgeless, with an isolated vertex, not bipartite) at q = 3
+and 5, and with ``blocks`` and ``oracle`` at q = 7 and 11, in text and in
+``--json`` output.  A graph is stored by name with its call and written to
+a temporary file, whose path replaces the ``GRAPH`` argument.
 
 After an intended change of output, regenerate the corpus from the source
 tree and review the diff of the JSON file entry by entry:
@@ -41,6 +44,27 @@ _VANISH_SETS = {
     "repeated": [[1, 0], [0, 1], [1, 0], [1, 1]],
     "v1=vs": [[2, 1], [1, 3], [0, 1], [2, 1]],
 }
+# sets past the walk budget, where vanish --ideal takes the colon: |X| =
+# 10^10 at q = 101, |X| = 405,000 at q = 31, and a cyclic X at q = 10^9 + 7
+# whose colon the degree bound (s-1)(q-1) refuses
+_LARGE_SETS = {
+    "six": [
+        [1, 25, 43, 36, 51, 20],
+        [42, 40, 27, 3, 47, 19],
+        [8, 13, 56, 3, 19, 4],
+        [54, 4, 19, 58, 60, 19],
+        [47, 10, 26, 36, 16, 8],
+        [0, 35, 56, 54, 2, 37],
+    ],
+    "five": [
+        [15, 9, 13, 7, 14],
+        [0, 13, 27, 21, 22],
+        [8, 7, 20, 7, 0],
+        [9, 9, 26, 10, 21],
+        [4, 23, 19, 9, 0],
+    ],
+    "cyclic": [[19], [6], [15], [21]],
+}
 _GRAPH_FILES = {
     "C4": _C4,
     "K23": _K23,
@@ -58,27 +82,30 @@ def _vanish_inputs():
     for name, (n, edges) in _VANISH_GRAPHS.items():
         vs = [[int(k in e) for k in range(1, n + 1)] for e in edges]
         inputs[name] = ["--monomials", json.dumps(vs, separators=(",", ":"))]
-    for name, vs in _VANISH_SETS.items():
+    for name, vs in (_VANISH_SETS | _LARGE_SETS).items():
         inputs[name] = ["--monomials", json.dumps(vs, separators=(",", ":"))]
     return inputs
 
 
 def corpus_calls():
     """(argv, graph name or None) for every call of the corpus, in a fixed
-    order: text output at q = 3, 7 and 31, ``--json`` at q = 5 and 11."""
+    order: text output at q = 3, 7, 31 and past, ``--json`` at q = 5 and 11."""
     inputs = _vanish_inputs()
+    small = [name for name in inputs if name not in _LARGE_SETS]
     calls = []
     for q, names in (
-        ("3", inputs),
-        ("5", inputs),
-        ("7", inputs),
+        ("3", small),
+        ("5", small),
+        ("7", small),
         ("11", ["C6", *_VANISH_SETS]),
-        ("31", ["torus 2,3,4"]),
+        ("31", ["torus 2,3,4", "five"]),
     ):
         out = ["--json"] if q in ("5", "11") else []
         for name in names:
             calls.append(([*out, "vanish", "--q", q, *inputs[name]], None))
             calls.append(([*out, "vanish", "--q", q, *inputs[name], "--ideal"], None))
+    for q, name in (("101", "six"), (str(10**9 + 7), "cyclic")):
+        calls.append((["vanish", "--q", q, *inputs[name], "--ideal"], None))
     for q, methods in (
         ("3", ("blocks", "oracle", "colon", "bounds")),
         ("5", ("blocks", "oracle", "colon", "bounds")),

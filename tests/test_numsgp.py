@@ -86,6 +86,12 @@ def test_apery_rejects_non_elements():
         apery_set(NumericalSemigroup((3, 5)), 4)
 
 
+def test_apery_rejects_gcd():
+    # 2 is in S, but the odd residues are unreachable: a bad input, not a bug
+    with pytest.raises(InvalidSemigroupError):
+        apery_set(NumericalSemigroup((2, 4)), 2)
+
+
 def test_apery_budget(monkeypatch):
     # one table of m residues for k generators costs m * k steps: (6, 9, 20)
     # modulo 6 takes 18, and modulo 9 (for apery_set) takes 27

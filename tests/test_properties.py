@@ -2,7 +2,7 @@
 
 import os
 import tempfile
-from math import lcm
+from math import comb, lcm
 from unittest import mock
 
 import pytest
@@ -22,7 +22,7 @@ from helpers import (  # noqa: E402
 )
 from latreg import binomial_gb  # noqa: E402
 from latreg.binomial_gb import (  # noqa: E402
-    _character_walk,
+    _vanishing_ideal,
     vanishing_ideal_finite_field,
 )
 from latreg.cli import parse_ideal_file  # noqa: E402
@@ -34,13 +34,15 @@ from latreg.ffvanish import (  # noqa: E402
     parameterized_hilbert_table,
     point_set,
     subgroup_to_monomials,
-    vanishing_ideal_series,
+    vanishing_ideal_table,
 )
 from latreg.graphblocks import edge_regularity, graph, reg_colon_method  # noqa: E402
 from latreg.hilbert import (  # noqa: E402
+    HilbertSeries,
     degree_dim1_standard,
     hilbert_table,
     monomial_hilbert,
+    poly_mul,
     reg_cm,
 )
 from latreg.intlat import (  # noqa: E402
@@ -107,13 +109,19 @@ def test_character_walk_matches_full_saturation(case):
     # of its leads
     vs, q = case
     field, s = PrimeField(q), len(vs)
-    table, I = _character_walk(exponent_vectors(vs), q)
+    I, table = _vanishing_ideal(exponent_vectors(vs), q)
+    assert table is not None  # within the walk budget
     want = saturated_lattice_vanishing_ideal(vs, q)
     assert [(g.plus, g.minus) for g in I.gens] == [(g.plus, g.minus) for g in want]
     assert table == sumset_table(field, vs)
-    _, F, reg = vanishing_ideal_series(field, vs)
+    assert vanishing_ideal_table(field, vs) == (I, table)
+    # S/I(X) is Cohen-Macaulay of dimension 1: its series is h(t)/(1-t) for
+    # the first differences h of the table, h(t) (1-t)^{s-1} over (1-t)^s
+    h = [b - a for a, b in zip([0] + table, table)]
+    one_minus_t = [(-1) ** j * comb(s - 1, j) for j in range(s)]
+    F = HilbertSeries(poly_mul(h, one_minus_t), standard_grading(s))
     G = monomial_hilbert([g.plus for g in I.gens], standard_grading(s))
-    assert F == G and reg == reg_cm(G, s - 1) == len(table) - 1
+    assert F == G and reg_cm(G, s - 1) == len(table) - 1
 
 
 @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
@@ -129,8 +137,10 @@ def test_torus_table_matches_frobenius_closed_form(v, q):
     want = degenerate_torus_invariants(TorusSpec(q, v))
     table = parameterized_hilbert_table(field, vs)
     assert (len(table) - 1, table[-1]) == want
-    _, F, reg = vanishing_ideal_series(field, vs)
-    assert (reg, degree_dim1_standard(hilbert_table(F))) == want
+    I, table_i = vanishing_ideal_table(field, vs)
+    assert table_i == table
+    F = monomial_hilbert([g.plus for g in I.gens], standard_grading(len(vs)))
+    assert (reg_cm(F, len(vs) - 1), degree_dim1_standard(hilbert_table(F))) == want
 
 
 @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
