@@ -1,26 +1,23 @@
 """Buchberger engine specialized to pure-difference binomial ideals.
 
-S-polynomials and reductions of pure differences are implemented directly on
-exponent vectors, so no coefficient arithmetic ever happens and every result
-is simultaneously correct over all fields (char 2 included).  Internally an
-element is an oriented pair ``(lead, tail)``; ``tail is None`` denotes a bare
-monomial, which only arises when monomial generators are supplied explicitly
-(``initial_ideal_with_monomials``) -- with binomial-only input the engine
-stays closed inside pure differences, and checks it.
-
-Useless S-pairs are skipped by the Gebauer-Moeller chain criterion, applied
-to the pairs of each new element only, and saturation by a variable takes a
-single Groebner basis (Bayer-Stillman), so
+S-polynomials and reductions of pure differences need no coefficients, so
+every result holds over all fields at once (char 2 included).  A monomial
+is one int with a guard bit per exponent field (``_Packing``): a division
+test, an lcm and a reduction step are a few int operations, and per
+variable a bitset of the basis leads that do not use it narrows each
+search for a divisor (``_Basis``).  Useless S-pairs are skipped by the
+Gebauer-Moeller chain criterion on the pairs of each new element, and
+saturation by a variable takes one Groebner basis (Bayer-Stillman), so
 ``lattice_ideal_generators`` costs one basis per variable.
 
 The vanishing ideal of a set X parameterized by monomials over F_q needs no
-basis at all when X is small enough: ``_vanishing_ideal``, the one place
-that picks its route, reads its reduced basis and its Hilbert table off one
-breadth-first walk over the characters of X, packed into ints (``_walk``),
-the walk that also gives the point side its Hilbert table.  Past the walk
-budget it costs one basis: adding the powers t_i^{q-1} - t_s^{q-1} reduces
-its saturation to one variable, and the degree bound (s-1)(q-1) of that
-colon is checked before it is built.
+basis when X is small enough: ``_vanishing_ideal``, the one place that
+picks its route, reads its reduced basis and its Hilbert table off one
+breadth-first walk over the characters of X (``_walk``), the walk that also
+gives the point side its Hilbert table.  Past the walk budget it costs one
+basis: adding the powers t_i^{q-1} - t_s^{q-1} reduces its saturation to
+one variable, and the degree bound (s-1)(q-1) of that colon is checked
+before it is built.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import itemgetter, le
+from operator import itemgetter
 
 from .errors import (
     BudgetExceededError,
@@ -88,198 +85,221 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# engine internals: elements are (lead, tail) with tail None for monomials.
-# Each basis list travels with a parallel list of support bitmasks of its
-# leads: t^a can divide t^u only when supp(a) lies inside supp(u), a cheap
-# integer test that skips most tuple scans.
+# engine internals.  A monomial is one int (``_Packing``) and an element an
+# oriented pair (lead, tail) of them, tail None for a bare monomial.
 
 
-def _divides(a, b):
-    return all(map(le, a, b))
+class _Overflow(Exception):
+    """A packed exponent reached the guard bit of its field."""
 
 
-def _mask(u):
-    m = 0
-    for k, x in enumerate(u):
-        if x:
-            m |= 1 << k
-    return m
+class _Packing:
+    """Exponent vectors packed into one int, a field per variable
+    (Bachmann-Schoenemann): t_last in the top field, the others below it in
+    order (``at`` holds each variable's shift).  A field holds ``bits`` bits
+    of exponent, a guard bit and room for a weighted degree.  While every
+    exponent is below 2^bits, with G the guard bits, t^a divides t^u iff
+    ((u | G) - a) & G == G (a field borrows its guard bit iff u_i < a_i), so
+    an lcm is one mask; a weighted degree is one product with the reversed
+    weights, read off the top field, since no field carries; and the
+    grevlex key, t_last cheapest, is (deg, -P).  Other orders key the
+    unpacked tuple.  _Basis.reduce raises _Overflow on a larger exponent.
+    """
+
+    def __init__(self, order, s, bits, last=-1):
+        weights = getattr(order, "weights", None) or (1,) * s
+        width = bits + 1 + (s * max(weights)).bit_length()
+        shifts = range(0, s * width, width)
+        self.bits, self.mask, self.top = bits, (1 << bits) - 1, shifts[-1]
+        self.at = [*shifts[:last], self.top, *shifts[last:-1]]
+        ones = ((1 << s * width) - 1) // ((1 << width) - 1)  # 1 in each field
+        self.guard, self.high = ones << bits, ones * ((1 << width) - (1 << bits))
+        if getattr(order, "kind", None) == "grevlex":
+            top, fm = self.top, (1 << width) - 1
+            wr = sum(w << (top - f) for w, f in zip(weights, self.at))
+            self.degree = lambda P: P * wr >> top & fm
+            self.key = lambda P: (P * wr >> top & fm, -P)
+        else:
+            self.degree = lambda P: order.degree(self.unpack(P))
+            self.key = lambda P: order.key(self.unpack(P))
+
+    def pack(self, u):
+        return u if u is None else sum(x << f for x, f in zip(u, self.at))
+
+    def unpack(self, P):
+        return P if P is None else tuple(P >> f & self.mask for f in self.at)
+
+    def lcm(self, a, b):
+        m = ((a | self.guard) - b) & self.guard  # guard bits where a_i >= b_i
+        return b ^ ((a ^ b) & (m - (m >> self.bits)))
+
+    def swap(self, P, lo):
+        """P with its field at shift lo and its top field exchanged."""
+        a, b = P >> lo & self.mask, P >> self.top
+        return P + ((b - a) << lo) + ((a - b) << self.top)
+
+    def orient(self, u, v):
+        """(lead, tail) of t^u - t^v, v None for a monomial; None for 0."""
+        if u == v:
+            return None
+        return (u, v) if v is None or self.key(u) > self.key(v) else (v, u)
 
 
-def _orient(order, u, v):
-    """Make (lead, tail) from two monomials; None for the zero element."""
-    if u == v:
-        return None
-    if order.key(u) > order.key(v):
-        return (u, v)
-    return (v, u)
+def _packed(run, order, s, pairs, last=-1):
+    """run(pk, pairs packed by pk), redone with twice as wide fields while it
+    overflows: the same computation, and the same work, at any width."""
+    bits = max((max(u) for p in pairs for u in p if u), default=0).bit_length() + 3
+    while True:
+        pk = _Packing(order, s, bits, last)
+        try:
+            return run(pk, [(pk.pack(u), pk.pack(v)) for u, v in pairs])
+        except _Overflow:
+            bits *= 2
 
 
-# work one _buchberger_elems call may do before it gives up: one unit per
-# basis element a pass of _reduce_term scans, and _UPDATE_COST per earlier
-# element at each new element, whose pair and chain-criterion step takes
-# about fifty times as long as one scan (a least-squares fit over the calls
-# of the tests and benchmark jobs that took over 20 ms).  Over 8x the 18M
-# units of I(X) for C8 at q = 7, over 60x the most of any test or benchmark
-# job, and above the 128M units (13-15 s) of vanish --q 1009 --monomials
-# '[[2,0],[0,3],[1,1],[1,2]]' --ideal, so that input answers; at q = 10007
-# the same input gives up after 12-13 s
+# work one _groebner call may do: one unit per basis element a pass of
+# _Basis.reduce stands for, and _UPDATE_COST per earlier element at each new
+# element.  Above the 128M units (5.5 s) of vanish --q 1009 --monomials
+# '[[2,0],[0,3],[1,1],[1,2]]' --ideal, so it answers.  On a 2-core host units
+# run at 23-31M/s on lattice ideals and 4.7-20M/s in the colons of cycles by
+# graph-reg --method colon, whose 60-variable ints slow the chain criterion
+# on C60 at q = 3 (32 s to give up)
 _WORK_BUDGET = 150_000_000
 _UPDATE_COST = 50
 
 
-def _reduce_term(u, basis, masks, work):
-    """Normal form of the monomial t^u modulo basis; None when it reduces to 0.
+class _Basis:
+    """Packed elements and, per variable (keyed by its guard bit), the
+    bitset of the leads that do not use it.  Divisors of t^u are sought
+    among the leads using no variable missing from u, lowest index first."""
 
-    The first element whose lead divides t^u divides it k = min over
-    supp(lead) of u_i // lead_i times in a row: after j < k steps every
-    coordinate of u in supp(lead) is still at least lead_i.  So the k steps
-    are one subtraction u - k (lead - tail).  Each pass over the basis adds
-    len(basis) to work[0], and BudgetExceededError is raised once that
-    passes _WORK_BUDGET.
-    """
-    while True:
-        work[0] += len(basis)
-        if work[0] > _WORK_BUDGET:
-            raise BudgetExceededError(
-                f"Groebner basis computation passes {_WORK_BUDGET} units of work"
-            )
-        um = _mask(u)
-        for (lead, tail), m in zip(basis, masks):
-            if not m & ~um and _divides(lead, u):
-                if tail is None:
-                    return None
-                k = min(x // a for x, a in zip(u, lead) if a)
-                u = tuple(x + k * (b - a) for x, a, b in zip(u, lead, tail))
-                break
-        else:
-            return u
+    def __init__(self, pk, elems=()):
+        self.pk, self.leads, self.tails = pk, [], []
+        self.free = {1 << (f + pk.bits): -1 for f in pk.at}
+        for lead, tail in elems:
+            self.append(lead, tail)
+
+    def append(self, lead, tail):
+        g, bit = self.pk.guard, ~(1 << len(self.leads))
+        used = g ^ ((g - lead) & g)
+        while used:
+            self.free[used & -used] &= bit
+            used &= used - 1
+        self.leads.append(lead)
+        self.tails.append(tail)
+
+    def divisor(self, u):
+        """Index of the first lead dividing t^u, or -1."""
+        g, free, leads = self.pk.guard, self.free, self.leads
+        cand, missing = (1 << len(leads)) - 1, (g - u) & g
+        while missing and cand:
+            cand &= free[missing & -missing]
+            missing &= missing - 1
+        u |= g
+        while cand:
+            i = (cand & -cand).bit_length() - 1
+            if (u - leads[i]) & g == g:
+                return i
+            cand &= cand - 1
+        return -1
+
+    def reduce(self, u, work):
+        """Normal form of t^u, None for 0.  The first lead dividing t^u
+        divides it k = min_i u_i // lead_i times in a row: one step u - k
+        lead + k tail.  Each pass adds len(basis) to work[0], which may not
+        pass _WORK_BUDGET."""
+        pk, g = self.pk, self.pk.guard
+        while True:
+            if u & pk.high:
+                raise _Overflow
+            work[0] += len(self.leads)
+            if work[0] > _WORK_BUDGET:
+                raise BudgetExceededError(
+                    f"Groebner basis computation passes {_WORK_BUDGET} units of work"
+                )
+            i = self.divisor(u)
+            if i < 0 or self.tails[i] is None:
+                return u if i < 0 else None
+            lead, tail = self.leads[i], self.tails[i]
+            if (((u - lead) | g) - lead) & g != g:  # k = 1
+                u += tail - lead
+            else:
+                m = pk.mask
+                k = min((u >> f & m) // x for f in pk.at if (x := lead >> f & m))
+                if k * max(pk.unpack(tail)) > m:
+                    raise _Overflow
+                u -= k * (lead - tail)
+
+    def normal_form(self, u, v, work):
+        """Normal form of t^u - t^v, v (or u) None for a monomial."""
+        u = u if u is None else self.reduce(u, work)
+        v = v if v is None else self.reduce(v, work)
+        if u is None:
+            return None if v is None else (v, None)
+        return self.pk.orient(u, v)
 
 
-def _normal_form_elem(order, elem, basis, masks, work=None):
-    """Normal form of the element; work counts as in _reduce_term, from 0
-    when None."""
-    work = [0] if work is None else work
-    u = _reduce_term(elem[0], basis, masks, work)
-    v = elem[1] if elem[1] is None else _reduce_term(elem[1], basis, masks, work)
-    if u is None and v is None:
-        return None
-    if u is None:
-        return (v, None)
-    if v is None:
-        return (u, None)
-    return _orient(order, u, v)
-
-
-def _spoly(f, g):
-    lcm = tuple(map(max, f[0], g[0]))
-    u = None if f[1] is None else tuple(l - a + b for l, a, b in zip(lcm, f[0], f[1]))
-    v = None if g[1] is None else tuple(l - a + b for l, a, b in zip(lcm, g[0], g[1]))
-    return u, v
-
-
-def _buchberger_elems(elems, order):
-    """Canonical reduced basis of (lead, tail) elements.
-
-    Normal selection strategy (smallest lcm degree first).  Each new element
-    pairs with every earlier one, and the chain criterion of Gebauer and
-    Moeller runs on these new pairs only; pairs already pending are never
-    rescanned, and the final _reduce_basis drops the elements whose lead
-    another lead divides.  Each surviving remainder is fully reduced, so its
-    lead strictly enlarges the initial ideal and termination follows from
-    Dickson's lemma.  The reductions and pair updates of one call share one
-    _WORK_BUDGET, so an input whose basis is slow to reach raises
-    BudgetExceededError.
-    """
-    G: list = []
-    masks: list = []
+def _groebner(pk, elems):
+    """Canonical reduced basis of packed (lead, tail) elements, by the normal
+    selection strategy.  Each new element pairs with every earlier one, and
+    the Gebauer-Moeller chain criterion runs on these new pairs only.  Each
+    remainder is fully reduced, so its lead enlarges the initial ideal
+    (Dickson's lemma ends the loop).  One call shares one _WORK_BUDGET."""
+    B = _Basis(pk)
+    leads, tails, g = B.leads, B.tails, pk.guard
     work = [0]  # against _WORK_BUDGET
     pairs: list = []  # heap of (lcm degree, lcm key, i, j)
 
-    def add(elem):
-        h = len(G)
-        lead_h, tail_h = elem
-        mask_h = _mask(lead_h)
+    def add(lead_h, tail_h):
+        h = len(leads)
         work[0] += _UPDATE_COST * h  # checked by the next reduction
-        # chain criterion on the new pairs.  A pair with a zero S-polynomial
-        # (coprime leads, or two monomials) is never reduced but still
-        # witnesses the pairs whose lcm its own lcm divides; sorting puts
-        # divisors first and, among equal lcms, the zero pairs first
+        # a pair with a zero S-polynomial (coprime leads, or two monomials)
+        # is never reduced but still witnesses the pairs whose lcm its lcm
+        # divides; sorting puts divisors, and zero pairs, first
         new = []
-        for i, ((lead_i, tail_i), mask_i) in enumerate(zip(G, masks)):
-            lcm = tuple(map(max, lead_i, lead_h))
-            zero = (tail_i is None and tail_h is None) or not mask_i & mask_h
-            new.append((order.degree(lcm), not zero, lcm, mask_i | mask_h, i))
+        for i, (lead_i, tail_i) in enumerate(zip(leads, tails)):
+            lcm = pk.lcm(lead_i, lead_h)
+            zero = lcm == lead_i + lead_h or (tail_i is None and tail_h is None)
+            new.append((pk.degree(lcm), not zero, lcm, i))
         new.sort(key=itemgetter(0, 1))
         witnesses: list = []
-        for deg, nonzero, lcm, lm, i in new:
-            if nonzero and any(
-                not wm & ~lm and _divides(w, lcm) for w, wm in witnesses
-            ):
+        for deg, nonzero, lcm, i in new:
+            if nonzero and g in map(g.__and__, map((lcm | g).__sub__, witnesses)):
                 continue
-            witnesses.append((lcm, lm))
+            witnesses.append(lcm)
             if nonzero:
-                heapq.heappush(pairs, (deg, order.key(lcm), i, h))
-        G.append(elem)
-        masks.append(mask_h)
+                heapq.heappush(pairs, (deg, pk.key(lcm), i, h))
+        B.append(lead_h, tail_h)
 
-    seed = [e for e in elems if e is not None]
-    seed.sort(key=lambda e: order.key(e[0]))
-    for e in seed:
-        nf = _normal_form_elem(order, e, G, masks, work)
-        if nf is not None:
-            add(nf)
-
+    for e in sorted(filter(None, elems), key=lambda e: pk.key(e[0])):
+        if nf := B.normal_form(*e, work):
+            add(*nf)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        s = _spoly(G[i], G[j])
-        if s[0] == s[1]:
+        lcm = pk.lcm(leads[i], leads[j])
+        u = tails[i] if tails[i] is None else lcm - leads[i] + tails[i]
+        v = tails[j] if tails[j] is None else lcm - leads[j] + tails[j]
+        if u == v:
             continue
-        if s[0] is None or (s[1] is not None and order.key(s[0]) < order.key(s[1])):
-            s = (s[1], s[0])
-        nf = _normal_form_elem(order, s, G, masks, work)
-        if nf is not None:
-            add(nf)
-
-    return _reduce_basis(G, order, work)
+        if nf := B.normal_form(u, v, work):
+            add(*nf)
+    return _reduce_basis(pk, zip(leads, tails), work)
 
 
-def _reduce_basis(G, order, work):
-    """The reduced basis of a Groebner basis G of (lead, tail) elements.
-
-    Drops the elements whose lead another lead divides, then reduces the
-    tails.  Normal forms modulo a Groebner basis are unique, so the result
-    is the canonical reduced basis, sorted by lead.
-    """
-    G = sorted(G, key=lambda e: order.key(e[0]))
-    minimal: list = []
-    masks: list = []
-    for e in G:
-        m = _mask(e[0])
-        if not any(
-            not fm & ~m and _divides(f[0], e[0]) for f, fm in zip(minimal, masks)
-        ):
-            minimal.append(e)
-            masks.append(m)
-    reduced = []
-    for lead, tail in minimal:
-        if tail is not None:
-            tail = _reduce_term(tail, minimal, masks, work)
-        reduced.append((lead, tail))
-    return tuple(reduced)
+def _reduce_basis(pk, G, work):
+    """The reduced basis of a Groebner basis G, sorted by lead."""
+    B = _Basis(pk)
+    for lead, tail in sorted(G, key=lambda e: pk.key(e[0])):
+        if B.divisor(lead) < 0:
+            B.append(lead, tail)
+    return [
+        (u, v if v is None else B.reduce(v, work)) for u, v in zip(B.leads, B.tails)
+    ]
 
 
-def _to_elems(gens, order):
-    return [_orient(order, g.plus, g.minus) for g in gens]
-
-
-def _check_pure(elems):
-    if any(tail is None for _, tail in elems):
+def _check_pure(G):
+    if any(tail is None for _, tail in G):
         raise InternalError("binomial input produced a non-binomial basis element")
-
-
-def _masks(elems):
-    return [_mask(lead) for lead, _ in elems]
 
 
 # ---------------------------------------------------------------------------
@@ -290,30 +310,33 @@ def buchberger(I: BinomialIdeal, order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of a pure-difference binomial ideal."""
     if order.weights is not None and len(order.weights) != I.num_vars:
         raise DimensionError("order does not match variable count")
-    elems = _buchberger_elems(_to_elems(I.gens, order), order)
-    _check_pure(elems)
-    masks = _masks(elems)
-    for g in I.gens:
-        if _normal_form_elem(order, (g.plus, g.minus), elems, masks) is not None:
-            raise InternalError(
-                "input generator does not reduce to zero against the basis"
-            )
-    return GroebnerBasis(
-        order, I.num_vars, tuple(Binomial(lead, tail) for lead, tail in elems)
-    )
+    gens = [(g.plus, g.minus) for g in I.gens]
+
+    def run(pk, packed):
+        G = _groebner(pk, [pk.orient(u, v) for u, v in packed])
+        _check_pure(G)
+        B = _Basis(pk, G)
+        if any(B.normal_form(u, v, [0]) for u, v in packed):
+            raise InternalError("input generator does not reduce to zero by the basis")
+        return tuple(Binomial(pk.unpack(u), pk.unpack(v)) for u, v in G)
+
+    return GroebnerBasis(order, I.num_vars, _packed(run, order, I.num_vars, gens))
 
 
 def normal_form(f: Binomial, G: GroebnerBasis) -> Binomial | None:
     """Remainder of f on division by G; None when f lies in the ideal."""
     if f.num_vars != G.num_vars:
         raise DimensionError("binomial does not match basis variable count")
-    elems = [(g.plus, g.minus) for g in G.elements]
-    nf = _normal_form_elem(G.order, (f.plus, f.minus), elems, _masks(elems))
-    if nf is None:
-        return None
-    if nf[1] is None:
+    pairs = [(g.plus, g.minus) for g in G.elements] + [(f.plus, f.minus)]
+
+    def run(pk, packed):
+        nf = _Basis(pk, packed[:-1]).normal_form(*packed[-1], [0])
+        return nf and tuple(map(pk.unpack, nf))
+
+    nf = _packed(run, G.order, G.num_vars, pairs)
+    if nf and nf[1] is None:
         raise InternalError("binomial reduced to a monomial modulo a binomial basis")
-    return Binomial(nf[0], nf[1])
+    return nf and Binomial(*nf)
 
 
 def initial_ideal(G: GroebnerBasis) -> tuple[tuple[int, ...], ...]:
@@ -328,66 +351,52 @@ def ideal_equal(I: BinomialIdeal, J: BinomialIdeal, order: MonomialOrder) -> boo
     return buchberger(I, order).elements == buchberger(J, order).elements
 
 
-def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
-    """(I : t_i^infty) for a graded ideal; i is a 0-based variable index.
+def _saturate(I, variables):
+    """(I : t_i^infty) for each i of the range variables in turn.
 
     Bayer-Stillman: under weighted grevlex with t_i cheapest, t_i divides a
     basis element of a homogeneous ideal as soon as it divides its lead, so
     dividing every element of one Groebner basis by its largest t_i power
-    gives a Groebner basis of the saturation.  t_i is made cheapest by
-    moving its coordinate last and running the plain weighted grevlex; the
-    generators are the reduced basis under that order, moved back.
-    """
+    gives a Groebner basis of the saturation.  A pass packs t_i in the top
+    field, so it is cheapest, and returns the reduced basis; the next pass
+    swaps t_{i+1}, in field i, with t_i, so the elements stay packed."""
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
-    s = I.num_vars
-    if not 0 <= i < s:
+    order, s = MonomialOrder.grevlex(I.grading), I.num_vars
+    gens = [(g.plus, g.minus) for g in I.gens]
+
+    def run(pk, elems):
+        for i in variables:
+            if i != variables[0]:
+                pk, lo = _Packing(order, s, pk.bits, i), pk.at[i]
+                elems = [(pk.swap(u, lo), pk.swap(v, lo)) for u, v in elems]
+            G = _groebner(pk, [pk.orient(u, v) for u, v in elems])
+            _check_pure(G)
+            c = [min(u >> pk.top, v >> pk.top) << pk.top for u, v in G]
+            elems = _reduce_basis(pk, [(u - k, v - k) for (u, v), k in zip(G, c)], [0])
+        return tuple(Binomial(pk.unpack(u), pk.unpack(v)) for u, v in elems)
+
+    return BinomialIdeal(s, _packed(run, order, s, gens, variables[0]), I.grading)
+
+
+def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
+    """(I : t_i^infty) for a graded ideal, i a 0-based variable index: the
+    reduced basis under weighted grevlex with t_i cheapest."""
+    if I.grading is not None and not 0 <= i < I.num_vars:
         raise InvalidArgumentError("variable index out of range")
-    if i == s - 1:
-        to_last = from_last = tuple
-    else:  # s >= 2 here, so itemgetter returns tuples
-        to_last = itemgetter(*range(i), *range(i + 1, s), i)
-        from_last = itemgetter(*range(i), s - 1, *range(i, s - 1))
-    order = MonomialOrder.grevlex(Grading(to_last(I.grading.weights)))
-    elems = _buchberger_elems(
-        [_orient(order, to_last(g.plus), to_last(g.minus)) for g in I.gens], order
-    )
-    _check_pure(elems)
-    stripped = []
-    for lead, tail in elems:
-        k = min(lead[-1], tail[-1])
-        if k > 0:
-            lead = lead[:-1] + (lead[-1] - k,)
-            tail = tail[:-1] + (tail[-1] - k,)
-        stripped.append((lead, tail))
-    gens = tuple(
-        Binomial(from_last(lead), from_last(tail))
-        for lead, tail in _reduce_basis(stripped, order, [0])
-    )
-    return BinomialIdeal(s, gens, I.grading)
+    return _saturate(I, range(i, i + 1))
 
 
 def saturate_all(I: BinomialIdeal) -> BinomialIdeal:
-    """(I : (t_1 ... t_s)^infty), by saturating each variable in turn.
-
-    (I : (t_1 t_2)^infty) = ((I : t_1^infty) : t_2^infty), so one sweep
-    suffices.  The generators are the reduced basis under the canonical
-    weighted grevlex order: the last pass puts t_s last, which is already
-    that order.
-    """
-    if I.grading is None:
-        raise InvalidArgumentError("saturation requires a graded ideal")
-    J = I
-    for i in range(I.num_vars):
-        J = saturate_variable(J, i)
-    return J
+    """(I : (t_1 ... t_s)^infty) = ((I : t_1^infty) ... : t_s^infty), as the
+    reduced basis under the canonical weighted grevlex order."""
+    return _saturate(I, range(I.num_vars))
 
 
 def is_lattice_ideal(I: BinomialIdeal) -> bool:
     """Computable restatement of the non-zero-divisor criterion: I is a
-    lattice ideal iff it equals its saturation by all the variables.  The
-    saturation's generators are already its reduced basis under the weighted
-    grevlex order, so only I's basis is computed."""
+    lattice ideal iff it equals its saturation by all the variables, whose
+    generators are its reduced weighted grevlex basis already."""
     if I.grading is None:
         raise InvalidArgumentError("lattice-ideal test requires a graded ideal")
     gens = saturate_all(I).gens
@@ -395,18 +404,12 @@ def is_lattice_ideal(I: BinomialIdeal) -> bool:
 
 
 def lattice_ideal_generators(L: Lattice, grading: Grading) -> BinomialIdeal:
-    """Generators of the lattice ideal I(L) for a homogeneous lattice.
-
-    Starts from the binomials of a lattice basis and saturates by all the
-    variables.
-    """
+    """Generators of the lattice ideal I(L) for a homogeneous lattice: the
+    binomials of a lattice basis, saturated by all the variables."""
     if not is_homogeneous(L, grading):
         raise UnsupportedInputError("lattice is not homogeneous for the grading")
-    gens = []
-    for row in L.basis:
-        plus, minus = split_parts(row)
-        gens.append(Binomial(plus, minus))
-    return saturate_all(BinomialIdeal(L.ambient_dim, tuple(gens), grading))
+    gens = tuple(Binomial(*split_parts(row)) for row in L.basis)
+    return saturate_all(BinomialIdeal(L.ambient_dim, gens, grading))
 
 
 def homogenize_binomials(bins, d: Grading) -> list[Binomial]:
@@ -452,8 +455,7 @@ def toric_ideal_monomial_map(vs, homogenize_with_z: bool) -> BinomialIdeal:
         raise InvalidArgumentError("need exponent vectors of one common length")
     if any(x < 0 for v in vs for x in v):
         raise InvalidArgumentError("exponent vectors must be nonnegative")
-    s = len(vs)
-    n = len(vs[0])
+    s, n = len(vs), len(vs[0])
     rows = [tuple(v[j] for v in vs) for j in range(n)]
     if homogenize_with_z:
         rows.append((1,) * s)
@@ -484,12 +486,11 @@ def _short_row(a, m):
 
 
 # work the walk over the characters of X may take before _vanishing_ideal
-# takes the colon J : t_s^infty instead: its
-# (s-1)|X| steps, each charged one unit per 64-bit word of a packed
-# character or monomial.  Above the 589,824 of C10 at q = 5 (0.2 s).  The
-# costliest walk within it moves one class per layer: the cyclic X of
-# vanish --q 599999 --monomials '[[1],[2]]' --ideal takes 1.7-1.9 s and
-# peaks at 99 MB in-process on a 2-core host
+# takes the colon J : t_s^infty instead: its (s-1)|X| steps, each charged
+# one unit per 64-bit word of a packed character or monomial.  Above the
+# 589,824 of C10 at q = 5 (0.2 s).  The costliest walk within it, of one
+# class per layer, is vanish --q 599999 --monomials '[[1],[2]]' --ideal:
+# 1.7-1.9 s and 99 MB at peak, in-process on a 2-core host
 _WALK_BUDGET = 600_000
 
 
@@ -635,10 +636,7 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     (q-1)}, V the matrix with columns v_i (Renteria-Simis-Villarreal), so
     the result is a graded lattice ideal of dimension 1.  Its generators
     are the reduced basis under the standard grevlex order, which depends
-    on the ideal alone.  ``_vanishing_ideal`` reads them off one walk over
-    the characters of X within the walk budget, with no Groebner basis
-    computed, and past it takes the colon of ``_colon_ideal``, which has a
-    degree budget.
+    on the ideal alone; ``_vanishing_ideal`` picks the route to them.
     """
     if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
@@ -668,7 +666,7 @@ def _colon_ideal(vs, q):
 
     t_s divides no lead of I(X), which holds t_i^{q-1} - t_s^{q-1}, so deg
     lcm(in(I(X))) <= (s-1)(q-1); past _NUMERATOR_DEGREE_BUDGET, where the
-    saturation can run for minutes before _WORK_BUDGET trips, that bound
+    saturation can run for a minute before _WORK_BUDGET trips, that bound
     raises BudgetExceededError before J is built.
     """
     s, n = len(vs), len(vs[0])
@@ -677,11 +675,10 @@ def _colon_ideal(vs, q):
             "vanishing ideal degree bound (s-1)(q-1) passes "
             f"{_NUMERATOR_DEGREE_BUDGET}"
         )
-    rows = [(1,) * s + (0,) * n]
-    for j in range(n):
-        rows.append(
-            tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
-        )
+    rows = [(1,) * s + (0,) * n] + [
+        tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))
+        for j in range(n)
+    ]
     K = kernel_lattice(rows)
     gens = [Binomial(*split_parts(_short_row(row[:s], q - 1))) for row in K.basis]
     top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
@@ -698,7 +695,10 @@ def initial_ideal_with_monomials(
     The engine handles single monomials as tail-less elements; the basis of a
     binomial-plus-monomial ideal again consists of binomials and monomials.
     """
-    elems = _to_elems(binomials, order)
-    elems += [(tuple(m), None) for m in monomials]
-    basis = _buchberger_elems(elems, order)
-    return tuple(lead for lead, _ in basis)
+    pairs = [(g.plus, g.minus) for g in binomials] + [(m, None) for m in monomials]
+
+    def run(pk, packed):
+        G = _groebner(pk, [pk.orient(u, v) for u, v in packed])
+        return tuple(pk.unpack(lead) for lead, _ in G)
+
+    return _packed(run, order, num_vars, pairs)

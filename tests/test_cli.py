@@ -10,9 +10,13 @@ import time
 
 import pytest
 
+from helpers import vanishing_lattice_rows
 from latreg import binomial_gb, ffvanish, invariants
 from latreg.cli import main, parse_ideal_file
-from latreg.errors import ParseError
+from latreg.errors import BudgetExceededError, ParseError
+from latreg.graphblocks import characteristic_vectors, graph
+from latreg.intlat import Lattice
+from latreg.ring_core import standard_grading
 
 
 def run(capsys, *argv):
@@ -508,6 +512,19 @@ def test_groebner_work_budget(capsys, monkeypatch):
     monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 14663)
     err = "budget-exceeded: Groebner basis computation passes 14663 units of work\n"
     assert run(capsys, *argv) == (1, "", err)
+
+
+def test_lattice_ideal_work_budget(monkeypatch):
+    # the costliest saturation pass of I(L) for C6 at q = 5 takes 183495
+    # units of work: the engine must charge the same units, pass for pass,
+    # whatever its representation of monomials
+    vs = characteristic_vectors(graph(6, [(i, i % 6 + 1) for i in range(1, 7)]))
+    L = Lattice(6, vanishing_lattice_rows(vs, 5))
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 183495)
+    assert len(binomial_gb.lattice_ideal_generators(L, standard_grading(6)).gens) == 33
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 183494)
+    with pytest.raises(BudgetExceededError):
+        binomial_gb.lattice_ideal_generators(L, standard_grading(6))
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -26,7 +26,8 @@ from helpers import (
 from latreg import binomial_gb
 from latreg.binomial_gb import (
     BinomialIdeal,
-    _buchberger_elems,
+    _groebner,
+    _packed,
     _short_row,
     saturate_all,
     saturate_variable,
@@ -103,22 +104,56 @@ def _colon_seed_inputs():
     return out
 
 
+def _engine_basis(elems, order):
+    """The engine's reduced basis of (lead, tail) exponent tuples, tail None
+    for a monomial (None for a zero element), as reference_buchberger gives
+    it."""
+    elems = [e for e in elems if e is not None]
+
+    def run(pk, packed):
+        G = _groebner(pk, [pk.orient(u, v) for u, v in packed])
+        return tuple((pk.unpack(u), pk.unpack(v)) for u, v in G)
+
+    return _packed(run, order, len(elems[0][0]), elems)
+
+
 def test_core_matches_coprime_reference():
     checked = 0
     for gens, d, rng in _lattice_inputs(11, 36):
         s = d.num_vars
         for order in _orders(d, rng):
             elems = [orient(order, g.plus, g.minus) for g in gens]
-            assert _buchberger_elems(elems, order) == reference_buchberger(elems, order)
+            assert _engine_basis(elems, order) == reference_buchberger(elems, order)
             # the same binomials plus monomial generators
             monos = [tuple(rng.randint(0, 2) for _ in range(s)) for _ in range(2)]
             mixed = elems + [(m, None) for m in monos if any(m)]
-            assert _buchberger_elems(mixed, order) == reference_buchberger(mixed, order)
+            assert _engine_basis(mixed, order) == reference_buchberger(mixed, order)
             checked += 1
     for elems, order in _colon_seed_inputs():
-        assert _buchberger_elems(elems, order) == reference_buchberger(elems, order)
+        assert _engine_basis(elems, order) == reference_buchberger(elems, order)
         checked += 1
-    assert checked == 116
+    # the chain t_i - t_{i+1}^3, i < 12: exponents far past the fields sized
+    # for the input, so the engine must widen them and start again
+    n = 12
+    chain = [
+        (tuple(int(k == i) for k in range(n)), tuple(3 * (k == i + 1) for k in range(n)))
+        for i in range(n - 1)
+    ]
+    bases = []
+    for order in (MonomialOrder.lex(), MonomialOrder.grevlex(standard_grading(n))):
+        elems = [orient(order, u, v) for u, v in chain]
+        bases.append(_engine_basis(elems, order))
+        assert bases[-1] == reference_buchberger(elems, order)
+        checked += 1
+    # t1 - t12^177147 under lex
+    assert ((1,) + (0,) * 11, (0,) * 11 + (3**11,)) in bases[0]
+    # t1^256 reduces by t1 - t2^256 in one step of k = 256, whose 256 *
+    # t2^256 spills from the t2 field into the t3 field unless widened first
+    order = MonomialOrder.lex()
+    elems = [((1, 0, 0), (0, 256, 0)), ((256, 0, 0), (0, 0, 1))]
+    assert _engine_basis(elems, order) == reference_buchberger(elems, order)
+    checked += 1
+    assert checked == 119
 
 
 def test_single_pass_saturation_matches_fixpoint():
@@ -351,20 +386,21 @@ from latreg.ring_core import Binomial, MonomialOrder, standard_grading
 order = MonomialOrder.grevlex(standard_grading(2))
 I = gb.BinomialIdeal(2, (Binomial((1, 0), (0, 1)),))
 G = gb.buchberger(I, order)
-real = gb._buchberger_elems
+real = gb._groebner
+# packed monomials: 1 is t1
 cases = {
-    "non-binomial basis": lambda e, o: (((1, 0), None),),
-    "generator not reduced to zero": lambda e, o: (),
+    "non-binomial basis": lambda pk, elems: [(1, None)],
+    "generator not reduced to zero": lambda pk, elems: [],
 }
 for name, fake in cases.items():
-    gb._buchberger_elems = fake
+    gb._groebner = fake
     try:
         gb.buchberger(I, order)
     except InternalError:
         continue
     raise SystemExit(f"no InternalError for {name}")
-gb._buchberger_elems = real
-gb._normal_form_elem = lambda order, elem, basis, masks: ((0, 2), None)
+gb._groebner = real
+gb._Basis.normal_form = lambda self, u, v, work: (1, None)
 try:
     gb.normal_form(Binomial((2, 0), (0, 2)), G)
 except InternalError:
