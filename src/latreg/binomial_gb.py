@@ -7,8 +7,11 @@ test, an lcm and a reduction step are a few int operations, and per
 variable a bitset of the basis leads that do not use it narrows each
 search for a divisor (``_Basis``).  Useless S-pairs are skipped by the
 Gebauer-Moeller chain criterion on the pairs of each new element, and
-saturation by a variable takes one Groebner basis (Bayer-Stillman), so
-``lattice_ideal_generators`` costs one basis per variable.
+saturation by a variable takes one Groebner basis (Bayer-Stillman), reduced
+once after the division, so ``lattice_ideal_generators`` costs one basis
+per variable.  Its result carries the order under which its generators are
+the reduced basis (``BinomialIdeal.basis_order``), and ``buchberger`` under
+that order returns them with no run.
 
 The vanishing ideal of a set X parameterized by monomials over F_q needs no
 basis when X is small enough: ``_vanishing_ideal``, the one place that
@@ -23,7 +26,7 @@ before it is built.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -51,12 +54,18 @@ class BinomialIdeal:
     """An ideal generated by pure-difference binomials.
 
     Zero binomials are dropped by the constructor.  When a grading is
-    attached, every generator must be homogeneous for it.
+    attached, every generator must be homogeneous for it.  ``basis_order``
+    is the order under which the generators are the reduced basis, or None:
+    only this module sets it, on the ideals it returns, so ``buchberger``
+    under that order returns them without a run.
     """
 
     num_vars: int
     gens: tuple[Binomial, ...]
     grading: Grading | None = None
+    basis_order: MonomialOrder | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         gens = tuple(g for g in self.gens if not g.is_zero())
@@ -240,14 +249,20 @@ class _Basis:
 
 
 def _groebner(pk, elems):
-    """Canonical reduced basis of packed (lead, tail) elements, by the normal
-    selection strategy.  Each new element pairs with every earlier one, and
-    the Gebauer-Moeller chain criterion runs on these new pairs only.  Each
-    remainder is fully reduced, so its lead enlarges the initial ideal
-    (Dickson's lemma ends the loop).  One call shares one _WORK_BUDGET."""
+    """Canonical reduced basis of packed (lead, tail) elements.  One call
+    shares one _WORK_BUDGET."""
+    work = [0]  # against _WORK_BUDGET
+    return _reduce_basis(pk, _buchberger_loop(pk, elems, work), work)
+
+
+def _buchberger_loop(pk, elems, work):
+    """A Groebner basis, not reduced, of packed (lead, tail) elements, by the
+    normal selection strategy, charged to work.  Each new element pairs with
+    every earlier one, and the Gebauer-Moeller chain criterion runs on these
+    new pairs only.  Each remainder is fully reduced, so its lead enlarges
+    the initial ideal (Dickson's lemma ends the loop)."""
     B = _Basis(pk)
     leads, tails, g = B.leads, B.tails, pk.guard
-    work = [0]  # against _WORK_BUDGET
     pairs: list = []  # heap of (lcm degree, lcm key, i, j)
 
     def add(lead_h, tail_h):
@@ -283,11 +298,12 @@ def _groebner(pk, elems):
             continue
         if nf := B.normal_form(u, v, work):
             add(*nf)
-    return _reduce_basis(pk, zip(leads, tails), work)
+    return list(zip(leads, tails))
 
 
 def _reduce_basis(pk, G, work):
-    """The reduced basis of a Groebner basis G, sorted by lead."""
+    """The reduced basis of a Groebner basis G, sorted by lead: the minimal
+    elements, their tails reduced."""
     B = _Basis(pk)
     for lead, tail in sorted(G, key=lambda e: pk.key(e[0])):
         if B.divisor(lead) < 0:
@@ -307,9 +323,13 @@ def _check_pure(G):
 
 
 def buchberger(I: BinomialIdeal, order: MonomialOrder) -> GroebnerBasis:
-    """Reduced Groebner basis of a pure-difference binomial ideal."""
+    """Reduced Groebner basis of a pure-difference binomial ideal.  Without
+    a run when order is I.basis_order: the generators of a saturation by
+    t_s and of the walk's I(X) are their reduced basis already."""
     if order.weights is not None and len(order.weights) != I.num_vars:
         raise DimensionError("order does not match variable count")
+    if order == I.basis_order:
+        return GroebnerBasis(order, I.num_vars, I.gens)
     gens = [(g.plus, g.minus) for g in I.gens]
 
     def run(pk, packed):
@@ -357,9 +377,12 @@ def _saturate(I, variables):
     Bayer-Stillman: under weighted grevlex with t_i cheapest, t_i divides a
     basis element of a homogeneous ideal as soon as it divides its lead, so
     dividing every element of one Groebner basis by its largest t_i power
-    gives a Groebner basis of the saturation.  A pass packs t_i in the top
-    field, so it is cheapest, and returns the reduced basis; the next pass
-    swaps t_{i+1}, in field i, with t_i, so the elements stay packed."""
+    gives a Groebner basis of the saturation, reduced or not.  A pass packs
+    t_i in the top field, so it is cheapest, runs the Buchberger loop,
+    divides, and returns the reduced basis: one reduction, charged with the
+    loop to the pass's work.  The next pass swaps t_{i+1}, in field i, with
+    t_i, so the elements stay packed.  After a last pass by t_s the order is
+    the canonical weighted grevlex, and the result carries it."""
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
     order, s = MonomialOrder.grevlex(I.grading), I.num_vars
@@ -370,13 +393,17 @@ def _saturate(I, variables):
             if i != variables[0]:
                 pk, lo = _Packing(order, s, pk.bits, i), pk.at[i]
                 elems = [(pk.swap(u, lo), pk.swap(v, lo)) for u, v in elems]
-            G = _groebner(pk, [pk.orient(u, v) for u, v in elems])
+            work = [0]  # against _WORK_BUDGET
+            G = _buchberger_loop(pk, [pk.orient(u, v) for u, v in elems], work)
             _check_pure(G)
             c = [min(u >> pk.top, v >> pk.top) << pk.top for u, v in G]
-            elems = _reduce_basis(pk, [(u - k, v - k) for (u, v), k in zip(G, c)], [0])
+            elems = _reduce_basis(pk, [(u - k, v - k) for (u, v), k in zip(G, c)], work)
         return tuple(Binomial(pk.unpack(u), pk.unpack(v)) for u, v in elems)
 
-    return BinomialIdeal(s, _packed(run, order, s, gens, variables[0]), I.grading)
+    J = BinomialIdeal(s, _packed(run, order, s, gens, variables[0]), I.grading)
+    if variables[-1] == s - 1:
+        object.__setattr__(J, "basis_order", order)
+    return J
 
 
 def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
@@ -625,7 +652,9 @@ def _vanishing_ideal(vs, q):
         lead, rep = unpack(M), unpack(reps[y])
         gens.append(Binomial(lead + (0,), rep + (sum(lead) - sum(rep),)))
     gens.sort(key=lambda g: order.key(g.plus))
-    return BinomialIdeal(s, tuple(gens), grading), table
+    I = BinomialIdeal(s, tuple(gens), grading)
+    object.__setattr__(I, "basis_order", order)
+    return I, table
 
 
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:

@@ -11,6 +11,7 @@ from helpers import (
     monomials_up_to,
     random_homogeneous_lattice,
 )
+from latreg import binomial_gb
 from latreg.binomial_gb import (
     BinomialIdeal,
     _walk,
@@ -163,6 +164,42 @@ def test_lattice_ideal_generators_examples():
     # same ideal as the staircase presentation (t1 - t2, t2 - t3)
     J = BinomialIdeal(3, (bi("t1 - t2", 3), bi("t2 - t3", 3)), STD3)
     assert ideal_equal(I, J, grev(STD3))
+
+
+def test_carried_basis_skips_the_engine(monkeypatch):
+    # generators that are the reduced basis under the order asked for come
+    # back from buchberger with no _groebner call; any other ideal or order
+    # runs the engine once
+    calls = []
+    real = binomial_gb._groebner
+    monkeypatch.setattr(
+        binomial_gb, "_groebner", lambda pk, elems: calls.append(1) or real(pk, elems)
+    )
+
+    def engine_calls(I, order):
+        calls.clear()
+        buchberger(I, order)
+        return len(calls)
+
+    d = Grading((1, 2, 2, 3))
+    L = kernel_lattice([d.weights])
+    I = lattice_ideal_generators(L, d)
+    assert engine_calls(I, grev(d)) == 0
+    bins = tuple(Binomial(*split_parts(row)) for row in L.basis)
+    J = BinomialIdeal(4, bins, d)
+    assert engine_calls(saturate_variable(J, 3), grev(d)) == 0
+    for i in range(3):
+        assert engine_calls(saturate_variable(J, i), grev(d)) == 1
+    assert engine_calls(J, grev(d)) == 1
+    assert engine_calls(BinomialIdeal(4, I.gens, d), grev(d)) == 1
+    assert engine_calls(I, grev(standard_grading(4))) == 1
+    assert engine_calls(I, MonomialOrder.lex()) == 1
+    # I(X) off the walk over the characters, and off the colon
+    vs = [(1, 0), (0, 1), (1, 1)]
+    std = grev(standard_grading(3))
+    assert engine_calls(vanishing_ideal_finite_field(vs, 5), std) == 0
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
+    assert engine_calls(vanishing_ideal_finite_field(vs, 5), std) == 0
 
 
 def test_lattice_ideal_requires_homogeneous():

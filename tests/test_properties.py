@@ -16,13 +16,18 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from helpers import (  # noqa: E402
     closed_under_products,
     curve_pipeline,
+    det,
     naive_point_rank,
     saturated_lattice_vanishing_ideal,
     sumset_table,
 )
 from latreg import binomial_gb  # noqa: E402
 from latreg.binomial_gb import (  # noqa: E402
+    BinomialIdeal,
     _vanishing_ideal,
+    buchberger,
+    lattice_ideal_generators,
+    saturate_variable,
     vanishing_ideal_finite_field,
 )
 from latreg.cli import parse_ideal_file  # noqa: E402
@@ -60,9 +65,12 @@ from latreg.invariants import (  # noqa: E402
 )
 from latreg.ring_core import (  # noqa: E402
     Binomial,
+    Grading,
+    MonomialOrder,
     exponent_vectors,
     parse_binomial,
     render_binomial,
+    split_parts,
     standard_grading,
 )
 
@@ -86,6 +94,45 @@ def test_one_variable_colon_is_full_saturation(case):
         got = vanishing_ideal_finite_field(vs, q).gens
     want = saturated_lattice_vanishing_ideal(vs, q)
     assert [(g.plus, g.minus) for g in got] == [(g.plus, g.minus) for g in want]
+
+
+@st.composite
+def _weighted_lattices(draw):
+    # r <= s-1 rows of a random invertible mix of a basis of the lattice of
+    # weights d <= 4: homogeneous for d, of any rank, with torsion varied
+    s = draw(st.integers(2, 5))
+    d = Grading(tuple(draw(st.lists(st.integers(1, 4), min_size=s, max_size=s))))
+    basis = kernel_lattice([d.weights]).basis
+    row = st.lists(st.integers(-2, 2), min_size=s - 1, max_size=s - 1)
+    T = draw(st.lists(row, min_size=s - 1, max_size=s - 1))
+    hypothesis.assume(det(T) != 0)
+    rows = [
+        tuple(sum(t * b[c] for t, b in zip(mix, basis)) for c in range(s))
+        for mix in T[: draw(st.integers(1, s - 1))]
+    ]
+    return Lattice(s, rows), d
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(_weighted_lattices())
+def test_carried_basis_matches_a_run(case):
+    # buchberger returns the generators of I(L), and of its saturation by
+    # one variable, without a run under the order they carry: under every
+    # order it must give what a run on an untagged copy gives
+    L, d = case
+    s = d.num_vars
+    orders = (
+        MonomialOrder.grevlex(d),
+        MonomialOrder.grevlex(standard_grading(s)),
+        MonomialOrder.lex(),
+    )
+    bins = tuple(Binomial(*split_parts(row)) for row in L.basis)
+    ideals = [lattice_ideal_generators(L, d)]
+    ideals += [saturate_variable(BinomialIdeal(s, bins, d), i) for i in range(s)]
+    for I in ideals:
+        copy = BinomialIdeal(I.num_vars, I.gens, I.grading)
+        for order in orders:
+            assert buchberger(I, order) == buchberger(copy, order)
 
 
 @st.composite
