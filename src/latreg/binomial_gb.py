@@ -15,19 +15,18 @@ that order returns them with no run.
 
 The vanishing ideal of a set X parameterized by monomials over F_q needs no
 basis when X is small enough: ``_vanishing_ideal``, the one place that
-picks its route, reads its reduced basis and its Hilbert table off one
-breadth-first walk over the characters of X (``_walk``), the walk that also
-gives the point side its Hilbert table.  Past the walk budget it costs one
-basis: adding the powers t_i^{q-1} - t_s^{q-1} reduces its saturation to
-one variable, and the degree bound (s-1)(q-1) of that colon is checked
-before it is built.
+picks the route to it and to the Hilbert table of X, reads both off one
+breadth-first walk over the characters of X (``_walk``), and builds the
+binomials only for a caller that asks for them.  Past the walk budget it
+costs one basis: adding the powers t_i^{q-1} - t_s^{q-1} reduces its
+saturation to one variable, and the degree bound (s-1)(q-1) of that colon
+and the size of its lattice kernel are checked before it is built.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -514,11 +513,13 @@ def _short_row(a, m):
 
 # work the walk over the characters of X may take before _vanishing_ideal
 # takes the colon J : t_s^infty instead: its (s-1)|X| steps, each charged
-# one unit per 64-bit word of a packed character or monomial.  Above the
-# 589,824 of C10 at q = 5 (0.2 s).  The costliest walk within it, of one
-# class per layer, is vanish --q 599999 --monomials '[[1],[2]]' --ideal:
-# 1.7-1.9 s and 99 MB at peak, in-process on a 2-core host
-_WALK_BUDGET = 600_000
+# one unit per 64-bit word of a packed character.  The walk of K33 at
+# q = 19 (840k units) takes 0.2 s, where the colon gives up after 4.5 s.
+# The costliest walk within it has one class per layer: for [[1],[2]] at
+# q = 3999971, _vanishing_ideal and its ideal take 3.7 s and 600 MB at
+# peak, and vanish --ideal with its 4e6-value H line 4.6 s and 750 MB
+# (in-process on a 2-core host)
+_WALK_BUDGET = 4_000_000
 
 
 def _walk(vs, q, budget):
@@ -556,8 +557,10 @@ def _walk(vs, q, budget):
     degree the larger int is then the smaller in grevlex.
 
     Each layer is charged s-1 steps per class it expands, w units each,
-    one per 64-bit word of a packed character: w = ceil((k+1) n / 64).
-    |X| is at least the order lcm_j m / gcd(u_j, m) of any step, so the
+    one per 64-bit word of a packed character: w = ceil((k+1) n / 64),
+    (s-1) |X| w in all.  |X| is at least the order of the image of X in
+    the coordinates of the first word, max(1, 64 // (k+1)) of them, and
+    equals it when all n fit (``subgroup_mod`` on those columns), so the
     walk returns None before its first layer when s-1 times that order
     times w passes budget, and otherwise once the units charged would.
     Else it returns the table H_X(0), ..., H_X(reg), whose last entry is
@@ -567,15 +570,17 @@ def _walk(vs, q, budget):
     m, s, n = q - 1, len(vs), len(vs[0])
     steps = [[(a - b) % m for a, b in zip(v, vs[-1])] for v in vs[:-1]]
     k = (2 * m - 1).bit_length()
+    words = -(-(k + 1) * n // 64)
+    c = min(n, max(1, 64 // (k + 1)))
+    top = (s - 1) * words
+    # the image has at most m^c points; its order is computed only past that
+    if top * m**c > budget and top * subgroup_mod(m, [u[:c] for u in steps], c)[1] > budget:
+        return None
     shifts = range(0, (k + 1) * n, k + 1)
     C = sum(((1 << k) - m) << f for f in shifts)
     H = sum(1 << (k + f) for f in shifts)
     up = [sum(x << f for x, f in zip(u, shifts)) for u in steps]
     down = [sum((-x % m) << f for x, f in zip(u, shifts)) for u in steps]
-    words = -(-(k + 1) * n // 64)
-    order = max((lcm(*(m // gcd(x, m) for x in u)) for u in steps), default=1)
-    if (s - 1) * order * words > budget:
-        return None
     w = m.bit_length()
     mask = (1 << w) - 1
     ones = [1 << (w * i) for i in range(s - 1)]
@@ -618,43 +623,42 @@ def _walk(vs, q, budget):
 
 
 def _vanishing_ideal(vs, q):
-    """I(X) and, when it comes off ``_walk``, the Hilbert table H_X(0),
-    ..., H_X(reg), else None: the one place that picks the route to I(X).
+    """H_X(0), ..., H_X(reg), whose last entry is |X|, or None, and a
+    function of no arguments that gives I(X): the one place that picks the
+    route to the Hilbert table and the ideal of X.
 
-    The walk is taken unless its (s-1)|X| steps, each charged per 64-bit
-    word of a packed character or monomial, would pass _WALK_BUDGET; |X| =
-    m^n / prod(pivots) comes from ``subgroup_mod`` before the walk
-    starts.  Past it, I(X) is the colon of ``_colon_ideal``.  Either way the
-    generators are its reduced basis under the standard grevlex order, lead
-    first and sorted by lead, as ``saturate_variable`` gives them: off the
-    walk, each minimal generator M of in(I(X)) in class c, found in layer
-    d, has tail rep(c) t_s^{d - deg rep(c)}.
+    Within _WALK_BUDGET both come off ``_walk``, and the binomials are
+    built only when the function is called: each minimal generator M of
+    in(I(X)) in class c, found in layer d, has tail rep(c) t_s^{d - deg
+    rep(c)}.  Past it, I(X) is the colon of ``_colon_ideal``, built at
+    once, and the table is None: the caller reads it off the Hilbert series
+    of the colon.  Either way the generators are the reduced basis under
+    the standard grevlex order, lead first and sorted by lead, as
+    ``saturate_variable`` gives them.
     """
-    m, s, n = q - 1, len(vs), len(vs[0])
-    steps = [tuple(a - b for a, b in zip(v, vs[-1])) for v in vs[:-1]]
-    w = m.bit_length()
-    bits = ((2 * m - 1).bit_length() + 1) * n
-    words = -(-max(bits, (s - 1) * w) // 64)
-    size = subgroup_mod(m, steps, n)[1]
-    # _walk charges at most (s-1)|X| words: None only past this check
-    walk = (s - 1) * size * words <= _WALK_BUDGET and _walk(vs, q, _WALK_BUDGET)
-    if not walk:
-        return _colon_ideal(vs, q), None
+    walk = _walk(vs, q, _WALK_BUDGET)
+    if walk is None:
+        I = _colon_ideal(vs, q)
+        return None, lambda: I
     table, reps, leads = walk
+    s, w = len(vs), (q - 1).bit_length()
 
     def unpack(M):
         return tuple((M >> (w * i)) & ((1 << w) - 1) for i in range(s - 1))
 
-    grading = standard_grading(s)
-    order = MonomialOrder.grevlex(grading)
-    gens = []
-    for M, y in leads:
-        lead, rep = unpack(M), unpack(reps[y])
-        gens.append(Binomial(lead + (0,), rep + (sum(lead) - sum(rep),)))
-    gens.sort(key=lambda g: order.key(g.plus))
-    I = BinomialIdeal(s, tuple(gens), grading)
-    object.__setattr__(I, "basis_order", order)
-    return I, table
+    def ideal():
+        grading = standard_grading(s)
+        order = MonomialOrder.grevlex(grading)
+        gens = []
+        for M, y in leads:
+            lead, rep = unpack(M), unpack(reps[y])
+            gens.append(Binomial(lead + (0,), rep + (sum(lead) - sum(rep),)))
+        gens.sort(key=lambda g: order.key(g.plus))
+        I = BinomialIdeal(s, tuple(gens), grading)
+        object.__setattr__(I, "basis_order", order)
+        return I
+
+    return table, ideal
 
 
 def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
@@ -669,7 +673,7 @@ def vanishing_ideal_finite_field(vs, q: int) -> BinomialIdeal:
     """
     if not is_prime(q):
         raise UnsupportedFieldError(f"{q} is not prime")
-    return _vanishing_ideal(exponent_vectors(vs), q)[0]
+    return _vanishing_ideal(exponent_vectors(vs), q)[1]()
 
 
 # degree bound on a Hilbert numerator, checked before it is built: by
@@ -696,13 +700,21 @@ def _colon_ideal(vs, q):
     t_s divides no lead of I(X), which holds t_i^{q-1} - t_s^{q-1}, so deg
     lcm(in(I(X))) <= (s-1)(q-1); past _NUMERATOR_DEGREE_BUDGET, where the
     saturation can run for a minute before _WORK_BUDGET trips, that bound
-    raises BudgetExceededError before J is built.
+    raises BudgetExceededError before J is built.  So does the dense
+    Hermite form that ``kernel_lattice`` takes of the (s+n) x (s+2n+1)
+    matrix [A^T | I], charged rows times columns times the n+1 pivots of
+    A^T against _WORK_BUDGET: cubic in the size of the input, it would run
+    for minutes on a path of 1000 vertices.
     """
     s, n = len(vs), len(vs[0])
     if (s - 1) * (q - 1) > _NUMERATOR_DEGREE_BUDGET:
         raise BudgetExceededError(
             "vanishing ideal degree bound (s-1)(q-1) passes "
             f"{_NUMERATOR_DEGREE_BUDGET}"
+        )
+    if (s + n) * (s + 2 * n + 1) * (n + 1) > _WORK_BUDGET:
+        raise BudgetExceededError(
+            f"vanishing ideal lattice kernel passes {_WORK_BUDGET} units of work"
         )
     rows = [(1,) * s + (0,) * n] + [
         tuple(v[j] for v in vs) + tuple(q - 1 if k == j else 0 for k in range(n))

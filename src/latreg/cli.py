@@ -24,7 +24,6 @@ from .ffvanish import (
 )
 from .graphblocks import (
     Graph,
-    edge_regularity,
     graph,
     reg_bipartite_blocks,
     reg_bounds_bipartite,
@@ -285,7 +284,7 @@ def _cmd_graph_reg(args):
     # benchmark's tracer) is the one called
     methods = {
         "blocks": reg_bipartite_blocks,
-        "oracle": edge_regularity,
+        "oracle": reg_colon_method,  # an alias, kept for its callers
         "colon": reg_colon_method,
     }
     reg = methods[args.method](G, field)
@@ -356,7 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-reg", help="regularity of an edge point set")
     p.add_argument("--q", type=int, required=True)
     p.add_argument(
-        "--method", choices=["blocks", "oracle", "colon", "bounds"], default="blocks"
+        "--method",
+        choices=["blocks", "oracle", "colon", "bounds"],
+        default="blocks",
+        help="oracle is an alias of colon",
     )
     p.add_argument("file", help='JSON {"n": n, "edges": [[u, v], ...]}')
     p.set_defaults(func=_cmd_graph_reg)

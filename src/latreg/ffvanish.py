@@ -4,12 +4,12 @@ functions and regularity, and subgroup classification.
 A set X parameterized by y^{v_1}, ..., y^{v_s} is a subgroup of the
 projective torus, and on it a degree-d monomial t^a is the character
 x |-> x^{V a} of (F_p^*)^n.  Distinct characters are linearly independent
-(Dedekind), so H_X(d) is the number of residues V a mod (p-1) with |a| = d;
-``parameterized_hilbert_table`` counts them by the breadth-first walk over
-packed characters that also builds I(X) (``binomial_gb._walk``), with no
-point enumerated and no linear algebra.  ``vanishing_ideal_table`` gives
-I(X) with the same table, by the route that ``binomial_gb`` picks: past
-the walk budget, the table is read off the Hilbert series of the colon.
+(Dedekind), so H_X(d) is the number of residues V a mod (p-1) with |a| = d.
+``parameterized_hilbert_table`` and ``vanishing_ideal_table`` read the
+table, and I(X) with it, off the one route that ``binomial_gb`` picks
+under one budget: the breadth-first walk over packed characters, with no
+point enumerated and no linear algebra, or past it the Hilbert series of
+the colon J : t_s^infty.
 
 Arbitrary point sets get their Hilbert function as an evaluation rank over
 F_p, in exact Python integers, so any prime p is handled.  Projective points
@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .binomial_gb import BinomialIdeal, _vanishing_ideal, _walk
+from .binomial_gb import BinomialIdeal, _vanishing_ideal
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -126,9 +126,25 @@ def enumerate_parameterized(field: PrimeField, vs) -> PointSet:
     return PointSet(field, tuple(pts))
 
 
-# sums formed by the character search before it gives up; it forms at most
-# |X| |U|, e.g. 5e4 for C6 at q = 11 (|X| = 10^4, |U| = 5)
-_SUMSET_BUDGET = 4_000_000
+def _hilbert_route(field: PrimeField, vs):
+    """H_X(0), ..., H_X(reg) and a function of no arguments that gives I(X),
+    for X parameterized by y^{v_1}, ..., y^{v_s}, off the route that
+    ``binomial_gb._vanishing_ideal`` picks.
+
+    Within the walk budget the table comes off the walk over the characters
+    of X.  Past it, I(X) is the colon J : t_s^infty and no character is
+    counted: |X| can be huge where the ideal is small.  S/I(X) is
+    Cohen-Macaulay of dimension 1, so reg is read off the Hilbert series of
+    its leads, and the table is that series expanded to reg.  The colon
+    raises BudgetExceededError when its degree bound (s-1)(p-1) passes the
+    numerator budget, or its lattice kernel the work budget.
+    """
+    vs = _parameterization(field, vs)
+    table, ideal = _vanishing_ideal(vs, field.p)
+    if table is None:
+        F = monomial_hilbert([g.plus for g in ideal().gens], standard_grading(len(vs)))
+        table = F.expand(reg_cm(F, len(vs) - 1))
+    return table, ideal
 
 
 def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
@@ -136,48 +152,21 @@ def parameterized_hilbert_table(field: PrimeField, vs) -> list[int]:
 
     H_X(d) counts the distinct characters x |-> x^{V a} of the torus
     (F_p^*)^n over |a| = d, i.e. the residues V a mod (p-1), and no point is
-    enumerated.  They are counted by the breadth-first walk over packed
-    characters of ``binomial_gb._walk``, the same walk that builds I(X)
-    (``vanishing_ideal_table``): layer d holds the classes first reached in
-    d steps u_i = v_i - v_s, the table stops at reg, the first d whose next
+    enumerated.  Layer d of the walk holds the classes first reached in d
+    steps u_i = v_i - v_s, the table stops at reg, the first d whose next
     layer is empty, i.e. with H_X(d) = H_X(d+1), and its last entry is |X|.
-
-    The walk is charged s-1 steps per class, (s-1) |X| in all, and |X| is
-    at least the order lcm_j (p-1)/gcd(u_j, p-1) of any step.  A step on
-    packed characters costs one unit per 64-bit word, w = ceil((k+1) n / 64)
-    of them with 2^k > 2(p-1) - 1, so the budget is charged w per step:
-    BudgetExceededError is raised before the first layer when w times that
-    order times s-1 passes _SUMSET_BUDGET, and otherwise once w times the
-    steps charged would.
+    Past the walk budget it is read off the colon (``_hilbert_route``), and
+    no binomial of I(X) is built on the walk.
     """
-    vs = _parameterization(field, vs)
-    walk = _walk(vs, field.p, _SUMSET_BUDGET)
-    if walk is None:
-        raise BudgetExceededError(
-            f"character sumset needs more than {_SUMSET_BUDGET} sums"
-        )
-    return walk[0]
+    return _hilbert_route(field, vs)[0]
 
 
 def vanishing_ideal_table(field: PrimeField, vs) -> tuple[BinomialIdeal, list[int]]:
     """I(X) and its Hilbert table H_X(0), ..., H_X(reg), whose last entry
-    is |X|, for X parameterized by y^{v_1}, ..., y^{v_s}.
-
-    ``binomial_gb._vanishing_ideal`` picks the route.  Within the walk
-    budget, I(X) and the table come off one walk over the characters of X.
-    Past it, I(X) is the colon J : t_s^infty and no character is counted:
-    |X| can be huge where the ideal is small.  S/I(X) is Cohen-Macaulay of
-    dimension 1, so reg is read off the Hilbert series of its leads, and
-    the table is that series expanded to reg.  The colon raises
-    BudgetExceededError when its degree bound (s-1)(p-1) passes the
-    numerator budget.
-    """
-    vs = _parameterization(field, vs)
-    I, table = _vanishing_ideal(vs, field.p)
-    if table is None:
-        F = monomial_hilbert([g.plus for g in I.gens], I.grading)
-        table = F.expand(reg_cm(F, len(vs) - 1))
-    return I, table
+    is |X|, for X parameterized by y^{v_1}, ..., y^{v_s}, off one route
+    (``_hilbert_route``)."""
+    table, ideal = _hilbert_route(field, vs)
+    return ideal(), table
 
 
 def _prod_mod(factors, p):

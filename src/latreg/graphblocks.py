@@ -1,5 +1,8 @@
 """Simple graphs, bipartiteness, block decomposition, and the regularity of
-vanishing ideals parameterized by graph edges over prime fields."""
+vanishing ideals parameterized by graph edges over prime fields: read off
+the Hilbert table of ``ffvanish.parameterized_hilbert_table`` for the
+whole graph (``reg_colon_method``) or for each block of a bipartite one
+(``reg_bipartite_blocks``), or bounded in closed form."""
 
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ from .ffvanish import (
     PrimeField,
     enumerate_parameterized,
     parameterized_hilbert_table,
-    vanishing_ideal_table,
 )
 from .invariants import additive_regularity
 
@@ -201,14 +203,6 @@ def edge_point_set(G: Graph, field: PrimeField) -> PointSet:
     return enumerate_parameterized(field, _edge_vectors(G))
 
 
-def edge_regularity(G: Graph, field: PrimeField) -> int:
-    """Regularity of the vanishing ideal of the edge point set: the depth of
-    the breadth-first walk over the characters of the edge monomials in
-    ``parameterized_hilbert_table``, the walk that ``reg_colon_method``
-    takes within its budget (no point is enumerated)."""
-    return len(parameterized_hilbert_table(field, _edge_vectors(G))) - 1
-
-
 def reg_bipartite_blocks(G: Graph, field: PrimeField) -> int:
     """Regularity of the edge point set of a bipartite graph as the sum of
     the block regularities plus (q-2)(c-1).  Isolated vertices lie in no
@@ -217,7 +211,7 @@ def reg_bipartite_blocks(G: Graph, field: PrimeField) -> int:
     if bipartition(G) is None:
         raise PreconditionError("graph is not bipartite")
     dec = blocks(G)
-    parts = [edge_regularity(_block_subgraph(b), field) for b in dec.blocks]
+    parts = [reg_colon_method(_block_subgraph(b), field) for b in dec.blocks]
     return additive_regularity(parts, field.p - 1)
 
 
@@ -236,16 +230,14 @@ def reg_bounds_bipartite(G: Graph, field: PrimeField) -> tuple[int, int]:
 
 
 def reg_colon_method(G: Graph, field: PrimeField) -> int:
-    """Regularity via the vanishing ideal I(X), for any graph, off the
-    Hilbert table of ``vanishing_ideal_table``.
+    """Regularity of the vanishing ideal I(X) of the edge point set, for
+    any graph: the last degree of its Hilbert table.
 
-    Within the walk budget of ``binomial_gb``, I(X) and its table come off
-    one walk over the characters of X, and reg is the depth of that walk,
-    as in ``edge_regularity``.  Past it, I(X) = J : t_s^infty with J the
-    binomials of the lattice-basis rows reduced modulo the (q-1)(e_i -
-    e_s), plus t_i^{q-1} - t_s^{q-1}; S/I(X) is Cohen-Macaulay of dimension
-    1, so reg is read off the Hilbert series of its initial ideal, and no
-    character is counted; the colon raises BudgetExceededError when
-    (s-1)(q-1) passes the numerator budget.
+    Within the walk budget of ``binomial_gb``, reg is the depth of the walk
+    over the characters of X (no point is enumerated).  Past it, I(X) = J :
+    t_s^infty with J the binomials of the lattice-basis rows reduced modulo
+    the (q-1)(e_i - e_s), plus t_i^{q-1} - t_s^{q-1}; S/I(X) is
+    Cohen-Macaulay of dimension 1, so reg is read off the Hilbert series of
+    its initial ideal, and no character is counted.
     """
-    return len(vanishing_ideal_table(field, _edge_vectors(G))[1]) - 1
+    return len(parameterized_hilbert_table(field, _edge_vectors(G))) - 1

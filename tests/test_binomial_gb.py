@@ -14,6 +14,7 @@ from helpers import (
 from latreg import binomial_gb
 from latreg.binomial_gb import (
     BinomialIdeal,
+    _colon_ideal,
     _walk,
     buchberger,
     homogenize_binomials,
@@ -381,10 +382,31 @@ def test_vanishing_ideal_colon_degree_bound():
     assert time.perf_counter() - start < 2.0
 
 
+def test_colon_kernel_charged_before_it_is_built(monkeypatch):
+    # C4 over F_5: [A^T | I] is 8 x 13 with 5 pivots in A^T, 520 units;
+    # past the kernel the engine trips on the same budget
+    c4 = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 519)
+    with pytest.raises(BudgetExceededError, match="lattice kernel passes 519"):
+        _colon_ideal(c4, 5)
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 520)
+    with pytest.raises(BudgetExceededError, match="Groebner basis computation passes 520"):
+        _colon_ideal(c4, 5)
+    monkeypatch.undo()
+    # the 1000-vertex path over F_3: 1999 x 2999 with 1001 pivots, 6.0e9
+    # units; uncharged, the colon grows cubically on paths: 11 s at 293
+    # vertices and 25 s at 400 (one process on a 2-core host)
+    path = [tuple(int(k in (i, i + 1)) for k in range(1000)) for i in range(999)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="lattice kernel passes 150000000"):
+        _colon_ideal(path, 3)
+    assert time.perf_counter() - start < 4.0
+
+
 def test_walk_refuses_before_its_first_layer():
-    # the step 1 - 2 has order q - 1 = 10006 over budget 5000, so the walk
-    # gives up before any layer; without that check it walks 5000
-    # one-class layers and peaks at ~636 KB
+    # X is the group of order q - 1 = 10006 that the step 1 - 2 generates,
+    # over budget 5000, so the walk gives up before any layer; without that
+    # check it walks 5000 one-class layers and peaks at ~636 KB
     tracemalloc.start()
     try:
         assert _walk([(1,), (2,)], 10007, 5000) is None

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from helpers import vanishing_lattice_rows
-from latreg import binomial_gb, ffvanish, invariants
+from latreg import binomial_gb, invariants
 from latreg.cli import main, parse_ideal_file
 from latreg.errors import BudgetExceededError, ParseError
 from latreg.graphblocks import characteristic_vectors, graph
@@ -202,22 +202,26 @@ def test_non_prime_q_is_one_error(capsys):
 
 
 def test_vanish_sumset_budget(capsys, monkeypatch):
-    monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 10_000)
-    # q = 2^127 - 1: the sumset would grow towards (q-1) characters
+    # q = 2^127 - 1: past a walk budget the table is read off the colon,
+    # whose degree bound (s-1)(q-1) refuses it
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 10_000)
     q = str(2**127 - 1)
     code, out, err = run(capsys, "vanish", "--q", q, "--torus", "1,2")
     assert (code, out) == (1, "")
-    assert err.startswith("budget-exceeded:")
+    assert err.startswith("budget-exceeded: vanishing ideal degree bound")
 
 
 def test_vanish_sumset_budget_fails_before_search(capsys):
-    # a step difference of order ~q already makes |X| |U| exceed the budget,
-    # so the answer comes before any sum is formed
+    # a step of order ~q already puts (s-1)|X| past the walk budget, so the
+    # walk is refused before any character is formed, and the colon before
+    # it is built
     start = time.perf_counter()
     code, out, err = run(capsys, "vanish", "--q", str(2**127 - 1), "--torus", "1,2")
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (1, "")
-    assert err == "budget-exceeded: character sumset needs more than 4000000 sums\n"
+    assert err == (
+        "budget-exceeded: vanishing ideal degree bound (s-1)(q-1) passes 4000000\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -233,8 +237,7 @@ def test_vanish_sumset_budget_fails_before_search(capsys):
         ["--q", "7", "--monomials", "[[1,2],[2,1],[1,1]]"],
         ["--q", "5", "--monomials", "[[1,1,0],[0,1,1],[1,0,1]]"],
         ["--q", "3", "--monomials", "[[1,1,0,0],[0,1,1,0],[0,0,1,1],[1,0,0,1]]"],
-        # |X| = 405,000: past the walk budget of --ideal, within that of
-        # the table alone
+        # |X| = 405,000
         [
             "--q",
             "31",
@@ -243,11 +246,12 @@ def test_vanish_sumset_budget_fails_before_search(capsys):
         ],
     ],
 )
-def test_vanish_ideal_series_matches_character_search(capsys, argv):
-    # with --ideal, |X|, H and reg come off the walk that builds I(X), or
-    # past its budget off the Hilbert series of the colon's leads; without
-    # it, off the walk alone: the two must agree
+def test_vanish_ideal_series_matches_character_search(capsys, monkeypatch, argv):
+    # |X|, H and reg off the walk over the characters, and off the Hilbert
+    # series of the colon's leads, forced by a zero walk budget: the two
+    # must agree
     code, out, _ = run(capsys, "vanish", *argv)
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
     code_i, out_i, _ = run(capsys, "vanish", *argv, "--ideal")
     assert code == code_i == 0
     lines = out_i.splitlines()
@@ -290,7 +294,7 @@ def test_vanish_ideal_of_one_point_at_large_q(capsys):
 
 
 def test_vanish_ideal_reads_series_past_sumset_budget(capsys):
-    # |X| = 10^10 is far over the character budget, but I(X) is the torus
+    # |X| = 10^10 is far over the walk budget, but I(X) is the torus
     # ideal (t_i^100 - t_6^100), whose Hilbert series gives H, |X| and reg
     vs = (
         "[[1,25,43,36,51,20],[42,40,27,3,47,19],[8,13,56,3,19,4],"
@@ -335,6 +339,18 @@ def test_vanish_ideal_walk_budget_boundary(capsys, monkeypatch):
     assert len(colons) == 1
     obj = json.loads(walked[1])
     assert (walked[0], obj["size"], obj["reg"]) == (0, 16, 3)
+
+
+def test_vanish_ideal_of_k33_at_q19_by_the_walk(capsys):
+    # (s-1)|X| = 8 * 18^4 = 839,808 steps: the walk answers, where the colon
+    # gives up on its work budget after about 4.5 s
+    vs = json.dumps([[int(k in (a, b)) for k in range(6)] for a in range(3) for b in range(3, 6)])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "vanish", "--q", "19", "--monomials", vs, "--ideal")
+    assert time.perf_counter() - start < 4.0
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["size"], obj["reg"]) == (104_976, 34)
 
 
 def test_vanish_ideal_of_c10_by_the_walk(capsys):

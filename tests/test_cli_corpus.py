@@ -6,12 +6,12 @@ without ``--ideal`` on degenerate tori, on the edge vectors of C4, C6, K23
 and K33, and on two sets with a repeated vector and with v_1 = v_s (a
 zero and a repeated step of the character walk) at q = 3, 5 and 7; the
 same on C6 and both sets at q = 11, and on a torus and a five-vector set
-(|X| = 405,000) at q = 31; with ``--ideal`` only, six vectors at q = 101
-(|X| = 10^10) and a cyclic X at q = 10^9 + 7, which leave the walk for the
-colon or its degree bound; and ``graph-reg`` with all four methods on
-small graphs (edgeless, with an isolated vertex, not bipartite) at q = 3
-and 5, and with ``blocks`` and ``oracle`` at q = 7 and 11, in text and in
-``--json`` output.  A graph is stored by name with its call and written to
+(|X| = 405,000) at q = 31; six vectors at q = 101 (|X| = 10^10) and a
+cyclic X at q = 10^9 + 7, which leave the walk for the colon or its
+degree bound; and ``graph-reg`` with all four methods on small graphs
+(edgeless, with an isolated vertex, not bipartite) at q = 3 and 5, and
+with ``blocks`` and ``oracle`` (an alias of ``colon``) at q = 7 and 11, in
+text and in ``--json`` output.  A graph is stored by name with its call and written to
 a temporary file, whose path replaces the ``GRAPH`` argument.
 
 After an intended change of output, regenerate the corpus from the source
@@ -44,9 +44,9 @@ _VANISH_SETS = {
     "repeated": [[1, 0], [0, 1], [1, 0], [1, 1]],
     "v1=vs": [[2, 1], [1, 3], [0, 1], [2, 1]],
 }
-# sets past the walk budget, where vanish --ideal takes the colon: |X| =
-# 10^10 at q = 101, |X| = 405,000 at q = 31, and a cyclic X at q = 10^9 + 7
-# whose colon the degree bound (s-1)(q-1) refuses
+# large sets: |X| = 10^10 at q = 101, past the walk budget, where vanish
+# takes the colon; |X| = 405,000 at q = 31, within it; and a cyclic X at
+# q = 10^9 + 7 whose colon the degree bound (s-1)(q-1) refuses
 _LARGE_SETS = {
     "six": [
         [1, 25, 43, 36, 51, 20],
@@ -105,6 +105,7 @@ def corpus_calls():
             calls.append(([*out, "vanish", "--q", q, *inputs[name]], None))
             calls.append(([*out, "vanish", "--q", q, *inputs[name], "--ideal"], None))
     for q, name in (("101", "six"), (str(10**9 + 7), "cyclic")):
+        calls.append((["vanish", "--q", q, *inputs[name]], None))
         calls.append((["vanish", "--q", q, *inputs[name], "--ideal"], None))
     for q, methods in (
         ("3", ("blocks", "oracle", "colon", "bounds")),

@@ -43,7 +43,6 @@ from latreg.ffvanish import (
 from latreg.graphblocks import (
     characteristic_vectors,
     connected_components,
-    edge_regularity,
     graph,
     reg_colon_method,
 )
@@ -244,20 +243,25 @@ def _bipartite_with_cycle(rng, max_left):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
-def test_colon_method_matches_character_count(q):
+def test_colon_method_matches_character_count(q, monkeypatch):
+    # the depth of the walk over the characters of X against the regularity
+    # read off the series of the colon J : t_s^infty, forced by a zero walk
+    # budget
     rng = random.Random(16 + q)
     field = PrimeField(q)
     # six-vertex graphs take seconds at q = 11
     max_left = 2 if q == 11 else 3
-    for _ in range(6):
-        G = _bipartite_with_cycle(rng, max_left)
-        assert reg_colon_method(G, field) == edge_regularity(G, field), G
+    graphs = [_bipartite_with_cycle(rng, max_left) for _ in range(6)]
     c4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
     # disconnected: C4 and a disjoint edge
-    G = graph(6, c4 + [(5, 6)])
-    assert reg_colon_method(G, field) == edge_regularity(G, field)
+    graphs.append(graph(6, c4 + [(5, 6)]))
+    graphs.append(graph(4, c4))
+    walked = [reg_colon_method(G, field) for G in graphs]
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 0)
+    for G, want in zip(graphs, walked):
+        assert reg_colon_method(G, field) == want, G
     # an isolated vertex adds a coordinate on which no edge monomial depends
-    assert reg_colon_method(graph(5, c4), field) == edge_regularity(graph(4, c4), field)
+    assert reg_colon_method(graph(5, c4), field) == walked[-1]
 
 
 def test_variable_pivot_matches_smallest_pivot():
@@ -375,7 +379,7 @@ def test_even_cycle_closed_forms(k, q):
     field = PrimeField(q)
     table = parameterized_hilbert_table(field, characteristic_vectors(cycle))
     assert table[-1] == (q - 1) ** (n - 2)
-    assert len(table) - 1 == (q - 2) * (k - 1) == edge_regularity(cycle, field)
+    assert len(table) - 1 == (q - 2) * (k - 1) == reg_colon_method(cycle, field)
 
 
 _BROKEN_ENGINE = """

@@ -12,7 +12,7 @@ from helpers import (
     naive_point_rank,
     primitive_root_parameterization,
 )
-from latreg import ffvanish
+from latreg import binomial_gb, ffvanish
 from latreg.binomial_gb import BinomialIdeal, vanishing_ideal_finite_field
 from latreg.errors import (
     BudgetExceededError,
@@ -32,7 +32,9 @@ from latreg.ffvanish import (
     point_set,
     regularity_points,
     subgroup_to_monomials,
+    vanishing_ideal_table,
 )
+from latreg.graphblocks import graph, reg_bipartite_blocks, reg_colon_method
 from latreg.ring_core import parse_binomial
 
 F3 = PrimeField(3)
@@ -129,15 +131,39 @@ def test_parameterized_hilbert_table_examples():
 
 def test_sumset_budget_charged_per_word(monkeypatch):
     # over F_3 a coordinate packs into 3 bits, so 21 coordinates fill one
-    # 64-bit word and 22 need two; X has two points and |U| = 1, so the
-    # search forms 2 sums, each charged once per word
+    # 64-bit word and 22 need two; X has two points and s-1 = 1, so the
+    # walk takes 2 steps, each charged once per word; one unit less of walk
+    # budget takes the colon, and the table does not change
+    colons = []
+    colon = binomial_gb._colon_ideal
+    monkeypatch.setattr(
+        binomial_gb, "_colon_ideal", lambda *a: colons.append(a) or colon(*a)
+    )
     for n, words in ((21, 1), (22, 2)):
         vs = [(1,) * n, (2,) * n]
-        monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 2 * words)
+        monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 2 * words)
         assert parameterized_hilbert_table(F3, vs) == [1, 2]
-        monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 2 * words - 1)
-        with pytest.raises(BudgetExceededError):
-            parameterized_hilbert_table(F3, vs)
+        assert not colons
+        monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 2 * words - 1)
+        assert parameterized_hilbert_table(F3, vs) == [1, 2]
+        assert colons.pop() == (vs, 3)
+
+
+def test_table_builds_no_binomials(monkeypatch):
+    # the table alone, from plain vanish and every graph-reg method but the
+    # bounds, builds no binomial of I(X) on the walk
+    built = []
+    binomial = binomial_gb.Binomial
+    monkeypatch.setattr(
+        binomial_gb, "Binomial", lambda *a: built.append(a) or binomial(*a)
+    )
+    cyc = [(1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)]
+    assert parameterized_hilbert_table(F5, cyc) == [1, 4, 9, 16]
+    C4 = graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert reg_colon_method(C4, F5) == reg_bipartite_blocks(C4, F5) == 3
+    assert not built
+    I, table = vanishing_ideal_table(F5, cyc)
+    assert table == [1, 4, 9, 16] and len(built) == len(I.gens) > 0
 
 
 def test_parameterized_checks_match_enumeration():

@@ -11,7 +11,7 @@ from latreg.binomial_gb import (
     toric_ideal_monomial_map,
     vanishing_ideal_finite_field,
 )
-from latreg import ffvanish
+from latreg import binomial_gb
 from latreg.errors import BudgetExceededError, PreconditionError
 from latreg.ffvanish import PrimeField, regularity_points
 from latreg.graphblocks import (
@@ -20,7 +20,6 @@ from latreg.graphblocks import (
     characteristic_vectors,
     connected_components,
     edge_point_set,
-    edge_regularity,
     graph,
     reg_bipartite_blocks,
     reg_bounds_bipartite,
@@ -158,22 +157,31 @@ def test_reg_blocks_examples():
 
 def test_edge_regularity_budget(monkeypatch):
     # C6 at q = 7: each of the |X| = 6^4 characters is expanded once by the
-    # |U| = 5 differences of the edge vectors from the first one
+    # s-1 = 5 steps, one word each; one unit less of walk budget takes the
+    # colon, and the answer does not change
     F7 = PrimeField(7)
-    monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 6**4 * 5)
-    assert edge_regularity(C6, F7) == 10
-    monkeypatch.setattr(ffvanish, "_SUMSET_BUDGET", 6**4 * 5 - 1)
-    with pytest.raises(BudgetExceededError):
-        edge_regularity(C6, F7)
+    colons = []
+    saturate = binomial_gb.saturate_variable
+    monkeypatch.setattr(
+        binomial_gb, "saturate_variable", lambda *a: colons.append(a) or saturate(*a)
+    )
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 6**4 * 5)
+    assert reg_colon_method(C6, F7) == 10
+    assert not colons
+    monkeypatch.setattr(binomial_gb, "_WALK_BUDGET", 6**4 * 5 - 1)
+    assert reg_colon_method(C6, F7) == 10
+    assert len(colons) == 1
 
 
 def test_edge_regularity_budget_on_long_path():
     # characters of a 1,000-vertex path over F_3 span 3,000 bits, 47 words a
-    # sum; charged per word, the search gives up within a few layers
+    # step, and the image of X in the first word already has 2^21 points, so
+    # the walk is refused before its first layer; the colon's lattice kernel
+    # is charged before it is built
     P = graph(1000, [(i, i + 1) for i in range(1, 1000)])
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
-        edge_regularity(P, F3)
+        reg_colon_method(P, F3)
     assert time.perf_counter() - start < 4.0
 
 
@@ -241,11 +249,11 @@ def test_colon_method_examples():
     F7 = PrimeField(7)
     assert reg_colon_method(C4, F7) == 5
     assert reg_colon_method(C6, F7) == 10
-    # a forest and an odd cycle: the colon answers like the oracle
+    # a forest and an odd cycle: (n-2)(q-2) for the path, the oracle values
+    # for the triangle
     for G, regs in ((PATH3, (1, 3, 5)), (TRIANGLE, (2, 6, 10))):
         for q, reg in zip((3, 5, 7), regs):
             assert reg_colon_method(G, PrimeField(q)) == reg
-            assert edge_regularity(G, PrimeField(q)) == reg
 
 
 def test_complete_bipartite_all_methods_agree():

@@ -41,7 +41,7 @@ from latreg.ffvanish import (  # noqa: E402
     subgroup_to_monomials,
     vanishing_ideal_table,
 )
-from latreg.graphblocks import edge_regularity, graph, reg_colon_method  # noqa: E402
+from latreg.graphblocks import graph, reg_colon_method  # noqa: E402
 from latreg.hilbert import (  # noqa: E402
     HilbertSeries,
     degree_dim1_standard,
@@ -156,8 +156,9 @@ def test_character_walk_matches_full_saturation(case):
     # of its leads
     vs, q = case
     field, s = PrimeField(q), len(vs)
-    I, table = _vanishing_ideal(exponent_vectors(vs), q)
+    table, ideal = _vanishing_ideal(exponent_vectors(vs), q)
     assert table is not None  # within the walk budget
+    I = ideal()
     want = saturated_lattice_vanishing_ideal(vs, q)
     assert [(g.plus, g.minus) for g in I.gens] == [(g.plus, g.minus) for g in want]
     assert table == sumset_table(field, vs)
@@ -288,8 +289,11 @@ def _graphs(draw):
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
 @hypothesis.given(_graphs(), st.sampled_from((3, 5, 7)))
 def test_colon_method_matches_character_search_on_any_graph(G, q):
+    # the walk against the colon, forced by a zero walk budget
     field = PrimeField(q)
-    assert reg_colon_method(G, field) == edge_regularity(G, field)
+    walked = reg_colon_method(G, field)
+    with mock.patch.object(binomial_gb, "_WALK_BUDGET", 0):
+        assert reg_colon_method(G, field) == walked
 
 
 @st.composite
