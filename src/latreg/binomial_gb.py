@@ -8,8 +8,10 @@ variable a bitset of the basis leads that do not use it narrows each
 search for a divisor (``_Basis``).  Useless S-pairs are skipped by the
 Gebauer-Moeller chain criterion on the pairs of each new element, and
 saturation by a variable takes one Groebner basis (Bayer-Stillman), reduced
-once after the division, so ``lattice_ideal_generators`` costs one basis
-per variable.  Its result carries the order under which its generators are
+once after the division.  So ``lattice_ideal_generators`` costs one basis
+for a lattice of rank s-1, the colon J : t_s^infty by pure powers
+t_i^m - t_s^{m d_i / d_s} (``_lattice_colon``), and one per variable below
+that rank.  Its result carries the order under which its generators are
 the reduced basis (``BinomialIdeal.basis_order``), and ``buchberger`` under
 that order returns them with no run.
 
@@ -18,15 +20,16 @@ basis when X is small enough: ``_vanishing_ideal``, the one place that
 picks the route to it and to the Hilbert table of X, reads both off one
 breadth-first walk over the characters of X (``_walk``), and builds the
 binomials only for a caller that asks for them.  Past the walk budget it
-costs one basis: adding the powers t_i^{q-1} - t_s^{q-1} reduces its
-saturation to one variable, and the degree bound (s-1)(q-1) of that colon
-and the size of its lattice kernel are checked before it is built.
+costs one basis, the same colon of its lattice of rank s-1, and the
+degree bound (s-1)(q-1) of that colon and the size of its lattice kernel
+are checked before it is built.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -430,12 +433,55 @@ def is_lattice_ideal(I: BinomialIdeal) -> bool:
 
 
 def lattice_ideal_generators(L: Lattice, grading: Grading) -> BinomialIdeal:
-    """Generators of the lattice ideal I(L) for a homogeneous lattice: the
-    binomials of a lattice basis, saturated by all the variables."""
+    """Generators of the lattice ideal I(L) for a homogeneous lattice: at
+    rank s-1 the colon J : t_s^infty of ``_lattice_colon``, one Groebner
+    basis; at lower rank the binomials of a lattice basis saturated by
+    each variable in turn, one basis per variable."""
     if not is_homogeneous(L, grading):
         raise UnsupportedInputError("lattice is not homogeneous for the grading")
+    if L.rank == L.ambient_dim - 1:
+        return _lattice_colon(L, grading)
     gens = tuple(Binomial(*split_parts(row)) for row in L.basis)
     return saturate_all(BinomialIdeal(L.ambient_dim, gens, grading))
+
+
+def _lattice_colon(L, grading):
+    """I(L) = J : t_s^infty for a lattice L of rank s-1 homogeneous for the
+    grading d: one saturation by t_s, whose result carries the canonical
+    weighted grevlex order.
+
+    For i < s let (a_i, b_i) = (d_s, d_i) / gcd(d_i, d_s), so that a_i e_i
+    - b_i e_s has degree 0, and let k_i be the least k > 0 with k (a_i e_i
+    - b_i e_s) in L (``Lattice.least_multiple``); it exists because L
+    tensor Q is the whole hyperplane of degree 0.  Let m = lcm(k_i a_i), in
+    the standard grading the exponent of the finite group Z^s / (L + Z e_s).
+    Then m e_i - (m d_i / d_s) e_s lies in L for each i < s.  J is generated
+    by t_i^m - t_s^{m d_i / d_s}, i < s, and by the binomials of the Hermite
+    rows of L reduced modulo these vectors (``_short_row``), all in I(L).
+    The reduced rows and the vectors still generate L, so I(L) = J : (t_1
+    ... t_s)^infty.  Modulo J each t_i^m is t_s^{m d_i / d_s}, so if (t_1
+    ... t_s)^N f lies in J, multiplying it by the monomial in t_1, ...,
+    t_{s-1} that lifts each exponent N to the next multiple of m gives t_s^M
+    f in J for some M: I(L) = J : t_s^infty.
+
+    For the lattice of a set X in the torus over F_q, m is the exponent of
+    X, a divisor of q-1, and J is the seed t_i^{q-1} - t_s^{q-1} plus rows
+    reduced mod q-1 when m = q-1.  One modulus m for every i, not k_i a_i
+    each, keeps that seed: with the k_i, 24 of 323 seeded colons took up to
+    27% more work in the Buchberger loop."""
+    s, d = L.ambient_dim, grading.weights
+    m = 1
+    for i in range(s - 1):
+        g = gcd(d[i], d[-1])
+        a, b = d[-1] // g, d[i] // g
+        v = [a if j == i else -b if j == s - 1 else 0 for j in range(s)]
+        m = lcm(m, a * L.least_multiple(v))
+    gens = [Binomial(*split_parts(_short_row(row, m, d))) for row in L.basis]
+    for i in range(s - 1):
+        plus = tuple(m if j == i else 0 for j in range(s))
+        minus = tuple(m * d[i] // d[-1] if j == s - 1 else 0 for j in range(s))
+        gens.append(Binomial(plus, minus))
+    return saturate_variable(BinomialIdeal(s, tuple(gens), grading), s - 1)
 
 
 def homogenize_binomials(bins, d: Grading) -> list[Binomial]:
@@ -495,19 +541,20 @@ def toric_ideal_monomial_map(vs, homogenize_with_z: bool) -> BinomialIdeal:
     return lattice_ideal_generators(kernel_lattice(rows), grading)
 
 
-def _short_row(a, m):
-    """A vector of sum 0 congruent to a (of sum 0) modulo the m(e_i - e_s):
-    each entry but the last is the residue mod m, or that minus m, whichever
-    keeps the running sum nearer 0, and the last entry restores sum 0."""
+def _short_row(a, m, d):
+    """A vector of degree 0 congruent to a (of degree 0) modulo the vectors
+    m e_i - (m d_i / d_s) e_s: each entry but the last is its residue mod m,
+    or that minus m, whichever keeps the running degree nearer 0, and the
+    last entry restores degree 0."""
     out = []
     total = 0
-    for x in a[:-1]:
+    for x, w in zip(a[:-1], d):
         r = x % m
-        if abs(total + r - m) < abs(total + r):
+        if abs(total + (r - m) * w) < abs(total + r * w):
             r -= m
         out.append(r)
-        total += r
-    out.append(-total)
+        total += r * w
+    out.append(-total // d[-1])
     return out
 
 
@@ -683,19 +730,16 @@ _NUMERATOR_DEGREE_BUDGET = 4_000_000
 
 
 def _colon_ideal(vs, q):
-    """I(X) as the colon J : t_s^infty, for X past the walk budget, as when
-    |X| is huge but the ideal small.
+    """I(X) as the colon J : t_s^infty of ``_lattice_colon``, for X past the
+    walk budget, as when |X| is huge but the ideal small.
 
-    L is the projection onto the first s coordinates of ker [[1...1 | 0],
-    [V | (q-1) I_n]]; the projection is injective, so it maps a basis to a
-    basis.  Let J be generated by t_i^{q-1} - t_s^{q-1} for i < s, all in
-    I(L) since (q-1)(e_i - e_s) lies in L, and by the binomials of the
-    basis rows reduced modulo these vectors (``_short_row``).  The reduced
-    rows and the (q-1)(e_i - e_s) still generate L, and their binomials
-    have degree at most about s(q-1)/2, where a raw basis row can be far
-    longer.  So I(L) = J : (t_1...t_s)^infty, and modulo J every t_i^{q-1}
-    equals t_s^{q-1}, so (t_1...t_s)^N f in J gives t_s^{sN(q-1)} f in J:
-    I(X) = J : t_s^infty, one saturation by one variable.
+    I(X) = I(L) for L the projection onto the first s coordinates of ker
+    [[1...1 | 0], [V | (q-1) I_n]], of rank s-1; the projection is
+    injective, so it maps a basis to a basis.  In J the pure powers are
+    t_i^m - t_s^m, m the exponent of X, which divides q-1, and the Hermite
+    rows of L reduced mod m have degree at most about s m / 2, where a raw
+    row can be far longer.  Modulo J each t_i^m is t_s^m, so (t_1 ...
+    t_s)^N f in J gives t_s^M f in J: one saturation by one variable.
 
     t_s divides no lead of I(X), which holds t_i^{q-1} - t_s^{q-1}, so deg
     lcm(in(I(X))) <= (s-1)(q-1); past _NUMERATOR_DEGREE_BUDGET, where the
@@ -721,11 +765,7 @@ def _colon_ideal(vs, q):
         for j in range(n)
     ]
     K = kernel_lattice(rows)
-    gens = [Binomial(*split_parts(_short_row(row[:s], q - 1))) for row in K.basis]
-    top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
-    for i in range(s - 1):
-        gens.append(Binomial(tuple(q - 1 if k == i else 0 for k in range(s)), top))
-    return saturate_variable(BinomialIdeal(s, tuple(gens), standard_grading(s)), s - 1)
+    return _lattice_colon(Lattice(s, [row[:s] for row in K.basis]), standard_grading(s))
 
 
 def initial_ideal_with_monomials(

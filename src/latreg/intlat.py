@@ -144,19 +144,40 @@ class Lattice:
     def smith_invariants(self) -> tuple[int, ...]:
         return smith_invariants(self.basis)
 
-    def contains(self, v) -> bool:
-        """Membership test against the Hermite basis."""
+    def _substitute(self, v):
+        """(k, k v minus its integer combination of the Hermite rows), read
+        off pivot by pivot, where each pivot that does not divide the entry
+        above it multiplies k by the least factor that makes it divide.
+        The coordinates of v in the basis are determined pivot by pivot, so
+        k is the least one that clears every denominator met."""
         v = [int(x) for x in v]
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length != ambient dimension")
+        k = 1
         for row in self.basis:
             c = next(j for j, x in enumerate(row) if x != 0)
-            if v[c] % row[c] != 0:
-                return False
+            if v[c] % row[c]:
+                e = row[c] // gcd(v[c], row[c])
+                k *= e
+                v = [x * e for x in v]
             q = v[c] // row[c]
             if q:
                 v = [x - q * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        return k, v
+
+    def contains(self, v) -> bool:
+        """Membership test against the Hermite basis."""
+        k, rest = self._substitute(v)
+        return k == 1 and not any(rest)
+
+    def least_multiple(self, v) -> int:
+        """The least k > 0 with k v in L, by one integer pass down the
+        Hermite basis; InvalidArgumentError when no multiple of v lies in L
+        (v outside L tensor Q)."""
+        k, rest = self._substitute(v)
+        if any(rest):
+            raise InvalidArgumentError("no multiple of the vector lies in the lattice")
+        return k
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):

@@ -441,14 +441,24 @@ def vanishing_lattice_rows(vs, q):
     return [row[:s] for row in kernel_lattice(rows).basis]
 
 
+def saturated_lattice_ideal(L, grading):
+    """Generators of I(L) by saturating the binomials of the Hermite rows of
+    L by every variable in turn (``saturate_all``), not by the colon
+    J : t_s^infty that ``lattice_ideal_generators`` takes at rank s-1."""
+    from latreg.binomial_gb import BinomialIdeal, saturate_all
+    from latreg.ring_core import split_parts
+
+    gens = tuple(Binomial(*split_parts(row)) for row in L.basis)
+    return saturate_all(BinomialIdeal(L.ambient_dim, gens, grading)).gens
+
+
 def saturated_lattice_vanishing_ideal(vs, q):
     """Generators of I(X) as I(L), L = {a : sum a_i = 0, V a = 0 mod (q-1)},
-    by saturating the lattice-basis binomials by every variable in turn."""
-    from latreg.binomial_gb import lattice_ideal_generators
+    by ``saturated_lattice_ideal``."""
     from latreg.ring_core import standard_grading
 
     L = Lattice(len(vs), vanishing_lattice_rows(vs, q))
-    return lattice_ideal_generators(L, standard_grading(len(vs))).gens
+    return saturated_lattice_ideal(L, standard_grading(len(vs)))
 
 
 def smallest_pivot_numerator(gens, d):

@@ -203,6 +203,33 @@ def test_carried_basis_skips_the_engine(monkeypatch):
     assert engine_calls(vanishing_ideal_finite_field(vs, 5), std) == 0
 
 
+def test_lattice_ideal_takes_one_basis_at_rank_s_minus_1(monkeypatch):
+    # I(L) of rank s-1 is one colon by t_s, one Buchberger loop; of lower
+    # rank it is saturated by each of the s variables, a loop each
+    calls = []
+    real = binomial_gb._buchberger_loop
+    monkeypatch.setattr(
+        binomial_gb,
+        "_buchberger_loop",
+        lambda pk, elems, work: calls.append(1) or real(pk, elems, work),
+    )
+
+    def loops(L, d):
+        calls.clear()
+        lattice_ideal_generators(L, d)
+        return len(calls)
+
+    rng = random.Random(47)
+    for _ in range(12):
+        L, d = random_homogeneous_lattice(rng, s=rng.randint(2, 5))
+        assert loops(L, d) == 1
+        if L.rank > 1:
+            assert loops(Lattice(L.ambient_dim, L.basis[1:]), d) == L.ambient_dim
+    d = Grading((1, 2, 2, 3))
+    assert loops(kernel_lattice([d.weights]), d) == 1
+    assert loops(Lattice(4, [(2, -1, 0, 0), (0, 1, -1, 0)]), d) == 4
+
+
 def test_lattice_ideal_requires_homogeneous():
     with pytest.raises(UnsupportedInputError):
         lattice_ideal_generators(Lattice(2, [(1, 0)]), STD2)

@@ -531,15 +531,16 @@ def test_groebner_work_budget(capsys, monkeypatch):
 
 
 def test_lattice_ideal_work_budget(monkeypatch):
-    # the costliest saturation pass of I(L) for C6 at q = 5 takes 179255
-    # units of work: its Buchberger loop, then one reduction after the
-    # division by t_1.  The engine must charge the same units, pass for
-    # pass, whatever its representation of monomials
+    # I(L) for C6 at q = 5 is one colon J : t_6^infty, J the rows reduced
+    # mod 4 and t_i^4 - t_6^4, and it takes 43186 units of work: its
+    # Buchberger loop, then one reduction after the division by t_6.  The
+    # engine must charge the same units whatever its representation of
+    # monomials
     vs = characteristic_vectors(graph(6, [(i, i % 6 + 1) for i in range(1, 7)]))
     L = Lattice(6, vanishing_lattice_rows(vs, 5))
-    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 179255)
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 43186)
     assert len(binomial_gb.lattice_ideal_generators(L, standard_grading(6)).gens) == 33
-    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 179254)
+    monkeypatch.setattr(binomial_gb, "_WORK_BUDGET", 43185)
     with pytest.raises(BudgetExceededError):
         binomial_gb.lattice_ideal_generators(L, standard_grading(6))
 

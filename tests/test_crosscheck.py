@@ -77,7 +77,7 @@ def _orders(d, rng):
 
 
 def _colon_seed_inputs():
-    """The seeds J of vanishing_ideal_finite_field (the lattice rows after
+    """The seeds J of the colon J : t_s^infty (the lattice rows after
     _short_row, plus t_i^{q-1} - t_s^{q-1}) for C4, C6 and K23 at q = 3, 5
     and K33 and the domino at q = 3.  Their bases reach 33 elements, where
     those of the random lattices stay small and the pair criteria rarely
@@ -94,7 +94,8 @@ def _colon_seed_inputs():
         vs = characteristic_vectors(G)
         s = len(vs)
         order = MonomialOrder.grevlex(standard_grading(s))
-        rows = [_short_row(row, q - 1) for row in vanishing_lattice_rows(vs, q)]
+        ones = (1,) * s
+        rows = [_short_row(row, q - 1, ones) for row in vanishing_lattice_rows(vs, q)]
         elems = [orient(order, *split_parts(row)) for row in rows]
         top = tuple(q - 1 if k == s - 1 else 0 for k in range(s))
         for i in range(s - 1):

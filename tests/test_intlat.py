@@ -7,7 +7,7 @@ from sympy.matrices.normalforms import hermite_normal_form as sy_hnf
 from sympy.matrices.normalforms import invariant_factors as sy_inv
 
 from helpers import det, random_homogeneous_lattice
-from latreg.errors import InvalidArgumentError
+from latreg.errors import DimensionError, InvalidArgumentError, LatregError
 from latreg.intlat import (
     Lattice,
     hermite_normal_form,
@@ -208,6 +208,37 @@ def test_torsion_matches_minor_gcd_on_corank_one():
             g = gcd(g, m)
         assert g == torsion_order(L)
         done += 1
+
+
+def test_least_multiple_examples():
+    L = Lattice(2, [(2, -2)])
+    assert L.least_multiple((1, -1)) == 2
+    assert L.least_multiple((3, -3)) == 2
+    assert L.least_multiple((4, -4)) == 1
+    assert L.least_multiple((0, 0)) == 1
+    # (1, 0, -1) is 1/3 of (3, 0, -3) = (1, 1, -2) + (2, -1, -1)
+    assert Lattice(3, [(1, 1, -2), (2, -1, -1)]).least_multiple((1, 0, -1)) == 3
+    with pytest.raises(InvalidArgumentError, match="no multiple"):
+        L.least_multiple((1, 0))
+    with pytest.raises(LatregError):
+        Lattice(3, [(1, -1, 0)]).least_multiple((0, 1, -1))
+    with pytest.raises(DimensionError):
+        L.least_multiple((1, -1, 0))
+
+
+def test_least_multiple_matches_search():
+    # the least k > 0 with k v in L is at most the index of L in its
+    # saturation, so a search over contains finds it
+    rng = random.Random(29)
+    for _ in range(80):
+        L, d = random_homogeneous_lattice(rng)
+        bound = torsion_order(L)
+        basis = kernel_lattice([d.weights]).basis
+        for _ in range(3):
+            mix = [rng.randint(-2, 2) for _ in basis]
+            v = [sum(c * x for c, x in zip(mix, col)) for col in zip(*basis)]
+            k = next(k for k in range(1, bound + 1) if L.contains([k * x for x in v]))
+            assert L.least_multiple(v) == k
 
 
 def test_lattice_rank_equals_nonzero_invariants():

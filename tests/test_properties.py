@@ -18,6 +18,7 @@ from helpers import (  # noqa: E402
     curve_pipeline,
     det,
     naive_point_rank,
+    saturated_lattice_ideal,
     saturated_lattice_vanishing_ideal,
     sumset_table,
 )
@@ -97,9 +98,10 @@ def test_one_variable_colon_is_full_saturation(case):
 
 
 @st.composite
-def _weighted_lattices(draw):
+def _weighted_lattices(draw, full_rank=False):
     # r <= s-1 rows of a random invertible mix of a basis of the lattice of
-    # weights d <= 4: homogeneous for d, of any rank, with torsion varied
+    # weights d <= 4: homogeneous for d, of any rank (s-1 when full_rank),
+    # with torsion varied
     s = draw(st.integers(2, 5))
     d = Grading(tuple(draw(st.lists(st.integers(1, 4), min_size=s, max_size=s))))
     basis = kernel_lattice([d.weights]).basis
@@ -108,9 +110,20 @@ def _weighted_lattices(draw):
     hypothesis.assume(det(T) != 0)
     rows = [
         tuple(sum(t * b[c] for t, b in zip(mix, basis)) for c in range(s))
-        for mix in T[: draw(st.integers(1, s - 1))]
+        for mix in T[: s - 1 if full_rank else draw(st.integers(1, s - 1))]
     ]
     return Lattice(s, rows), d
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(_weighted_lattices(full_rank=True))
+def test_rank_s_minus_1_colon_is_full_saturation(case):
+    # the colon J : t_s^infty against the lattice-basis ideal saturated by
+    # every variable: the same generators, in the same order and orientation
+    L, d = case
+    got = lattice_ideal_generators(L, d)
+    assert got.gens == saturated_lattice_ideal(L, d)
+    assert got.basis_order == MonomialOrder.grevlex(d)
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
