@@ -144,11 +144,6 @@ class _Packing:
         m = ((a | self.guard) - b) & self.guard  # guard bits where a_i >= b_i
         return b ^ ((a ^ b) & (m - (m >> self.bits)))
 
-    def swap(self, P, lo):
-        """P with its field at shift lo and its top field exchanged."""
-        a, b = P >> lo & self.mask, P >> self.top
-        return P + ((b - a) << lo) + ((a - b) << self.top)
-
     def orient(self, u, v):
         """(lead, tail) of t^u - t^v, v None for a monomial; None for 0."""
         if u == v:
@@ -168,13 +163,12 @@ def _packed(run, order, s, pairs, last=-1):
             bits *= 2
 
 
-# work one _groebner call may do: one unit per basis element a pass of
-# _Basis.reduce stands for, and _UPDATE_COST per earlier element at each new
-# element.  Above the 128M units (5.5 s) of vanish --q 1009 --monomials
-# '[[2,0],[0,3],[1,1],[1,2]]' --ideal, so it answers.  On a 2-core host units
-# run at 23-31M/s on lattice ideals and 4.7-20M/s in the colons of cycles by
-# graph-reg --method colon, whose 60-variable ints slow the chain criterion
-# on C60 at q = 3 (32 s to give up)
+# work one _groebner call or saturation pass may do: one unit per basis
+# element a pass of _Basis.reduce stands for, and _UPDATE_COST per earlier
+# element at each new element.  It bounds the time to give up: on a 2-core
+# host graph-reg --q 11 --method colon on C8 gives up after 5.4-6.0 s
+# (25-28M units/s, as on lattice ideals), and on C60 at q = 3, whose
+# 60-variable ints slow the chain criterion, after 26 s (5.8M units/s)
 _WORK_BUDGET = 150_000_000
 _UPDATE_COST = 50
 
@@ -373,53 +367,48 @@ def ideal_equal(I: BinomialIdeal, J: BinomialIdeal, order: MonomialOrder) -> boo
     return buchberger(I, order).elements == buchberger(J, order).elements
 
 
-def _saturate(I, variables):
-    """(I : t_i^infty) for each i of the range variables in turn.
+def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
+    """(I : t_i^infty) for a graded ideal, i a 0-based variable index: the
+    reduced basis under weighted grevlex with t_i cheapest.
 
-    Bayer-Stillman: under weighted grevlex with t_i cheapest, t_i divides a
-    basis element of a homogeneous ideal as soon as it divides its lead, so
-    dividing every element of one Groebner basis by its largest t_i power
-    gives a Groebner basis of the saturation, reduced or not.  A pass packs
-    t_i in the top field, so it is cheapest, runs the Buchberger loop,
-    divides, and returns the reduced basis: one reduction, charged with the
-    loop to the pass's work.  The next pass swaps t_{i+1}, in field i, with
-    t_i, so the elements stay packed.  After a last pass by t_s the order is
-    the canonical weighted grevlex, and the result carries it."""
+    Bayer-Stillman: under that order t_i divides a basis element of a
+    homogeneous ideal as soon as it divides its lead, so dividing every
+    element of one Groebner basis by its largest t_i power gives a Groebner
+    basis of the saturation, reduced or not.  The pass packs t_i in the top
+    field, so it is cheapest, runs the Buchberger loop, divides, and returns
+    the reduced basis: one reduction, charged with the loop to the pass's
+    work.  For i = s-1 the order is the canonical weighted grevlex, and the
+    result carries it."""
     if I.grading is None:
         raise InvalidArgumentError("saturation requires a graded ideal")
-    order, s = MonomialOrder.grevlex(I.grading), I.num_vars
-    gens = [(g.plus, g.minus) for g in I.gens]
+    s = I.num_vars
+    if not 0 <= i < s:
+        raise InvalidArgumentError("variable index out of range")
+    order = MonomialOrder.grevlex(I.grading)
 
     def run(pk, elems):
-        for i in variables:
-            if i != variables[0]:
-                pk, lo = _Packing(order, s, pk.bits, i), pk.at[i]
-                elems = [(pk.swap(u, lo), pk.swap(v, lo)) for u, v in elems]
-            work = [0]  # against _WORK_BUDGET
-            G = _buchberger_loop(pk, [pk.orient(u, v) for u, v in elems], work)
-            _check_pure(G)
-            c = [min(u >> pk.top, v >> pk.top) << pk.top for u, v in G]
-            elems = _reduce_basis(pk, [(u - k, v - k) for (u, v), k in zip(G, c)], work)
-        return tuple(Binomial(pk.unpack(u), pk.unpack(v)) for u, v in elems)
+        work = [0]  # against _WORK_BUDGET
+        G = _buchberger_loop(pk, [pk.orient(u, v) for u, v in elems], work)
+        _check_pure(G)
+        c = [min(u >> pk.top, v >> pk.top) << pk.top for u, v in G]
+        G = _reduce_basis(pk, [(u - k, v - k) for (u, v), k in zip(G, c)], work)
+        return tuple(Binomial(pk.unpack(u), pk.unpack(v)) for u, v in G)
 
-    J = BinomialIdeal(s, _packed(run, order, s, gens, variables[0]), I.grading)
-    if variables[-1] == s - 1:
+    gens = [(g.plus, g.minus) for g in I.gens]
+    J = BinomialIdeal(s, _packed(run, order, s, gens, i), I.grading)
+    if i == s - 1:
         object.__setattr__(J, "basis_order", order)
     return J
 
 
-def saturate_variable(I: BinomialIdeal, i: int) -> BinomialIdeal:
-    """(I : t_i^infty) for a graded ideal, i a 0-based variable index: the
-    reduced basis under weighted grevlex with t_i cheapest."""
-    if I.grading is not None and not 0 <= i < I.num_vars:
-        raise InvalidArgumentError("variable index out of range")
-    return _saturate(I, range(i, i + 1))
-
-
 def saturate_all(I: BinomialIdeal) -> BinomialIdeal:
     """(I : (t_1 ... t_s)^infty) = ((I : t_1^infty) ... : t_s^infty), as the
-    reduced basis under the canonical weighted grevlex order."""
-    return _saturate(I, range(I.num_vars))
+    reduced basis under the canonical weighted grevlex order: one
+    ``saturate_variable`` pass per variable, each a Groebner basis divided
+    by the powers of its variable (Bayer-Stillman), the last by t_s."""
+    for i in range(I.num_vars):
+        I = saturate_variable(I, i)
+    return I
 
 
 def is_lattice_ideal(I: BinomialIdeal) -> bool:

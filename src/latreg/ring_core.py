@@ -107,27 +107,6 @@ class Binomial:
     def is_zero(self) -> bool:
         return self.plus == self.minus
 
-    def is_canonical(self) -> bool:
-        """True when the two sides have disjoint support (or the binomial is zero)."""
-        if self.is_zero():
-            return True
-        return all(p == 0 or m == 0 for p, m in zip(self.plus, self.minus))
-
-    def canonical(self) -> "Binomial":
-        """Strip the common monomial factor, leaving disjoint supports.
-
-        Note this divides the binomial by a monomial, so it does not in
-        general represent the same element of an ideal's generating set.
-        """
-        if self.is_zero():
-            z = (0,) * self.num_vars
-            return Binomial(z, z)
-        common = tuple(min(p, m) for p, m in zip(self.plus, self.minus))
-        return Binomial(
-            tuple(p - c for p, c in zip(self.plus, common)),
-            tuple(m - c for m, c in zip(self.minus, common)),
-        )
-
     def is_homogeneous(self, d: Grading) -> bool:
         return weighted_degree(self.plus, d) == weighted_degree(self.minus, d)
 

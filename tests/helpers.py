@@ -68,19 +68,46 @@ def frobenius_oracle(gens):
     return max((i for i in range(bound + 1) if not reach[i]), default=-1)
 
 
+def monomials_of_weighted_degree(weights, deg):
+    """All exponent vectors of weighted degree exactly deg."""
+    if len(weights) == 1:
+        if deg % weights[0] == 0:
+            yield (deg // weights[0],)
+        return
+    for first in range(deg // weights[0] + 1):
+        for rest in monomials_of_weighted_degree(weights[1:], deg - first * weights[0]):
+            yield (first,) + rest
+
+
 def monomials_of_degree(s, deg):
     """All exponent vectors in s variables of total degree exactly deg."""
-    if s == 1:
-        yield (deg,)
-        return
-    for first in range(deg + 1):
-        for rest in monomials_of_degree(s - 1, deg - first):
-            yield (first,) + rest
+    return monomials_of_weighted_degree((1,) * s, deg)
 
 
 def monomials_up_to(s, deg):
     for k in range(deg + 1):
         yield from monomials_of_degree(s, k)
+
+
+def lattice_class_counts(L, grading, top):
+    """H_{S/I(L)}(0..top) with no Groebner basis.  I(L) is spanned by the
+    t^a - t^b with a - b in L, so H(k) is the number of classes of Z^s / L
+    hit by the monomials of weighted degree k.  Each exponent vector is
+    reduced by the Hermite rows of L, pivot by pivot, to the representative
+    of its class."""
+    pivots = [(next(c for c, x in enumerate(r) if x), r) for r in L.basis]
+
+    def representative(a):
+        for c, r in pivots:
+            f = a[c] // r[c]
+            if f:
+                a = tuple(x - f * y for x, y in zip(a, r))
+        return a
+
+    return [
+        len({representative(a) for a in monomials_of_weighted_degree(grading.weights, k)})
+        for k in range(top + 1)
+    ]
 
 
 def in_kernel(matrix_rows, vec):

@@ -503,6 +503,13 @@ def test_saturation_requires_grading():
         is_lattice_ideal(I)
 
 
+def test_saturation_rejects_a_variable_out_of_range():
+    I = BinomialIdeal(2, (bi("t1*t2 - t2^2", 2),), STD2)
+    for i in (-1, 2):
+        with pytest.raises(InvalidArgumentError):
+            saturate_variable(I, i)
+
+
 def test_ideal_constructor_validates():
     with pytest.raises(InvalidArgumentError):
         BinomialIdeal(2, (bi("t1 - t2^2", 2),), STD2)

@@ -172,6 +172,33 @@ def test_single_pass_saturation_matches_fixpoint():
             assert J.gens == fixpoint_saturate_variable(I.gens, d, i)
 
 
+def test_saturation_pass_widens_its_fields(monkeypatch):
+    # in the pass by t2, t1^16 reduces to t2^4096, past the 12-bit fields
+    # sized for the input: that pass alone is packed again, wider
+    built = []
+    real = binomial_gb._Packing
+
+    class Recorded(real):
+        def __init__(self, order, s, bits, last=-1):
+            built.append((last, bits))
+            super().__init__(order, s, bits, last)
+
+    monkeypatch.setattr(binomial_gb, "_Packing", Recorded)
+    d = Grading((256, 1, 256))
+    I = BinomialIdeal(
+        3, (Binomial((1, 0, 0), (0, 256, 0)), Binomial((16, 0, 0), (0, 0, 16))), d
+    )
+    got = saturate_all(I).gens
+    # one packing per pass, t1 to t3, and a second, wider one for t2's
+    assert [last for last, _ in built] == [0, 1, 1, 2]
+    assert built[2][1] > built[1][1]
+    assert got == fixpoint_saturate_all(I.gens, d)
+    assert [(g.plus, g.minus) for g in got] == [
+        ((1, 0, 0), (0, 256, 0)),
+        ((0, 4096, 0), (0, 0, 16)),
+    ]
+
+
 def _routes(monkeypatch):
     """Yield the name of each route vanishing_ideal_finite_field can take:
     the walk over the characters of X, then the colon J : t_s^infty, forced

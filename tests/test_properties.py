@@ -17,6 +17,7 @@ from helpers import (  # noqa: E402
     closed_under_products,
     curve_pipeline,
     det,
+    lattice_class_counts,
     naive_point_rank,
     saturated_lattice_ideal,
     saturated_lattice_vanishing_ideal,
@@ -124,6 +125,17 @@ def test_rank_s_minus_1_colon_is_full_saturation(case):
     got = lattice_ideal_generators(L, d)
     assert got.gens == saturated_lattice_ideal(L, d)
     assert got.basis_order == MonomialOrder.grevlex(d)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(_weighted_lattices())
+def test_saturation_below_rank_s_minus_1_matches_class_counts(case):
+    # the Hilbert function of the leads of saturate_all against the classes
+    # of Z^s / L hit in each degree, an oracle that runs no Groebner basis
+    L, d = case
+    hypothesis.assume(L.rank < L.ambient_dim - 1)
+    leads = [g.plus for g in saturated_lattice_ideal(L, d)]
+    assert monomial_hilbert(leads, d).expand(10) == lattice_class_counts(L, d, 10)
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)

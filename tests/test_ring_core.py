@@ -92,17 +92,6 @@ def test_elimination_order_blocks():
     assert compare(order, (1, 0, 2, 0), (1, 0, 0, 2)) == 1
 
 
-def test_binomial_canonical():
-    b = Binomial((2, 1, 0), (0, 1, 3))
-    assert not b.is_canonical()
-    c = b.canonical()
-    assert c == Binomial((2, 0, 0), (0, 0, 3))
-    assert c.is_canonical()
-    assert c.canonical() == c
-    z = Binomial((1, 1), (1, 1))
-    assert z.is_zero() and z.canonical().is_zero()
-
-
 def test_binomial_equality_ignores_sign():
     assert Binomial((1, 0), (0, 1)) == Binomial((0, 1), (1, 0))
     assert hash(Binomial((1, 0), (0, 1))) == hash(Binomial((0, 1), (1, 0)))
